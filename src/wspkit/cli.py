@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 = satisfiable / valid / success, 1 = unsatisfiable / invalid,
-2 = error (parse failure, classification failure, bad arguments).
+2 = error (parse failure, classification failure, bad arguments, or any
+unexpected exception, so that a crash is never read as a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from wspkit import classify as cls
 from wspkit import formats, kernel, reductions, solver
 from wspkit.core import is_valid_plan, validate_schema
-from wspkit.errors import WspError
+from wspkit.errors import ContractError, WspError
 from wspkit.formats import parse_constraint_line
 
 
@@ -35,6 +37,8 @@ def cmd_solve(args) -> int:
         outcome = solver.solve_fpt(schema, task_cap=args.task_cap)
     else:
         outcome = solver.solve_bruteforce(schema, plan_cap=args.plan_cap)
+    if outcome.satisfiable and not is_valid_plan(schema, outcome.plan):
+        raise ContractError("solver returned an invalid plan")
     print(f"status: {outcome.status}")
     if not outcome.satisfiable:
         return 1
@@ -241,6 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (WspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,16 +2,21 @@
 
 Each kind supports the well-behaved operations: partition eligibility,
 set eligibility, finding an eligible superset, and required additions for
-intersection-closed kinds. Set eligibility is closed-form per kind; the
-closed forms are verified against partition enumeration in the test suite,
-and enumeration semantics is authoritative where the two could diverge
-(notably two-set kinds with overlapping sides).
+intersection-closed kinds. Partition eligibility is defined once, over a
+labelling of the scope: any mapping from scope tasks to hashable block
+labels (a plan, a growth string, a TaskPartition), where tasks sharing a
+label share a block and tasks outside the scope are ignored. Set
+eligibility is closed-form per kind; the closed forms are verified against
+partition enumeration in the test suite, and enumeration semantics is
+authoritative where the two could diverge (notably two-set kinds with
+overlapping sides).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 from wspkit.core import (
     ATLEAST,
@@ -37,14 +42,7 @@ def _block_count_feasible(n: int, t_low: int, t_high: int) -> bool:
     return b_min * t_low <= n
 
 
-def _multiplicity(c: ConstraintInstance) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for t in c.scope:
-        out[t] = out.get(t, 0) + 1
-    return out
-
-
-def _weight(mult: dict[str, int], block) -> int:
+def _weight(mult: Counter, block) -> int:
     return sum(mult[t] for t in block)
 
 
@@ -96,30 +94,36 @@ def _subsets_with_sum(items: tuple[int, ...], lo: int, hi: int):
     yield from rec(0, (), 0)
 
 
-def eligible_partition(c: ConstraintInstance, p: TaskPartition) -> bool:
-    """Whether a partition of the constraint's scope is eligible."""
-    scope = frozenset(c.scope_set)
-    if p.carrier != scope:
-        raise DomainError("partition carrier must equal the constraint scope")
+def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> bool:
+    """Whether a labelling of the constraint's scope is eligible.
+
+    ``label`` maps every scope task to a hashable block label: two scope
+    tasks share a block iff their labels are equal. Anything indexable by
+    task will do, such as a growth-string dict, a Plan (labels are users) or
+    a TaskPartition (labels are blocks). Tasks outside the scope are
+    ignored, so a partition of any superset of the scope is accepted.
+    Raises DomainError if some scope task has no label.
+    """
+    try:
+        labels = [label[t] for t in c.scope]
+    except KeyError as exc:
+        raise DomainError(f"scope task {exc.args[0]!r} has no label") from None
     if c.kind == EQ2:
-        s, s2 = c.scope
-        return s == s2 or p.block_of(s) == p.block_of(s2)
+        return labels[0] == labels[1]
     if c.kind == NEQ2:
-        s, s2 = c.scope
-        return s != s2 and p.block_of(s) != p.block_of(s2)
+        return labels[0] != labels[1]
     if c.kind == BIND:
-        left, right = (set(g) for g in c.scope_sets)
-        return any(b & left and b & right for b in p.blocks)
+        left, right = c.scope_sets
+        return not {label[t] for t in left}.isdisjoint(label[t] for t in right)
     if c.kind == SEP:
-        union = set(c.scope_sets[0]) | set(c.scope_sets[1])
-        return not any(union <= b for b in p.blocks)
+        return len(set(labels)) > 1
     if c.kind == ATMOST:
-        return len(p) <= c.params[0]
+        return len(set(labels)) <= c.params[0]
     if c.kind == ATLEAST:
-        return len(p) >= c.params[0]
+        return len(set(labels)) >= c.params[0]
     t_low, t_high = c.params
-    mult = _multiplicity(c)
-    return all(t_low <= _weight(mult, b) <= t_high for b in p.blocks)
+    # scope positions, not tasks: a repeated task adds its multiplicity
+    return all(t_low <= n <= t_high for n in Counter(labels).values())
 
 
 def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
@@ -153,7 +157,7 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
     if c.kind == ATLEAST:
         return 1 + (r - len(block)) >= c.params[0]
     t_low, t_high = c.params
-    mult = _multiplicity(c)
+    mult = Counter(c.scope)
     if not t_low <= _weight(mult, block) <= t_high:
         return False
     rest = tuple(mult[t] for t in mult if t not in block)
@@ -258,7 +262,7 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
     t_low, t_high = c.params
     if t_low == 1:
         return True, True
-    mult = _multiplicity(c)
+    mult = Counter(c.scope)
     if any(m > 1 for m in mult.values()):
         # Repeated scope tasks weigh blocks unevenly; check closure on the
         # enumerated eligible-set family directly.

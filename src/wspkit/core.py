@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -81,10 +82,12 @@ class ConstraintInstance:
         return len(self.scope_set)
 
     def dedup_key(self) -> tuple:
-        """Equality key treating scopes as sets (used for deduplication)."""
+        """Deduplication key: scopes as sets, but peruser scopes as multisets."""
         if self.scope_sets is not None:
             return (self.kind, self.params, frozenset(self.scope_sets[0]),
                     frozenset(self.scope_sets[1]))
+        if self.kind == PERUSER:
+            return (self.kind, self.params, frozenset(Counter(self.scope).items()))
         return (self.kind, self.params, frozenset(self.scope))
 
 
@@ -200,7 +203,8 @@ class TaskPartition:
             out |= b
         return frozenset(out)
 
-    def block_of(self, task: str) -> frozenset[str]:
+    def __getitem__(self, task: str) -> frozenset[str]:
+        """The block holding the task, so a partition is a block labelling."""
         for b in self.blocks:
             if task in b:
                 return b
@@ -233,15 +237,13 @@ def satisfies(plan: Plan, c: ConstraintInstance) -> bool:
     """Whether the plan satisfies the constraint.
 
     A plan whose domain omits part of the scope satisfies the constraint
-    vacuously; otherwise satisfaction depends only on the partition of the
-    scope induced by the plan.
+    vacuously; otherwise the plan's users label the scope's blocks.
     """
     from wspkit.constraints import eligible_partition
 
-    scope = c.scope_set
-    if any(t not in plan for t in scope):
+    if any(t not in plan for t in c.scope_set):
         return True
-    return eligible_partition(c, induced_partition(plan, scope))
+    return eligible_partition(c, plan)
 
 
 @dataclass(frozen=True)

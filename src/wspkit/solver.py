@@ -41,18 +41,6 @@ class SolveOutcome:
         return self.status == SATISFIABLE
 
 
-def _scope_partition(
-    blocks: tuple[tuple[str, ...], ...], scope: frozenset[str]
-) -> TaskPartition:
-    return TaskPartition(
-        frozenset(
-            frozenset(x for x in b if x in scope)
-            for b in blocks
-            if any(x in scope for x in b)
-        )
-    )
-
-
 def assign_blocks(
     schema: WorkflowSchema, partition: TaskPartition
 ) -> Optional[Plan]:
@@ -86,9 +74,9 @@ def solve_fpt(
     """Decide satisfiability by enumerating task partitions.
 
     Partitions are enumerated as restricted growth strings in
-    lexicographic order; for each partition whose every constraint is
-    eligible on the induced scope partition, an injective block-to-user
-    matching is sought. The first partition admitting one yields the plan.
+    lexicographic order; for each partition whose growth-string labelling
+    is eligible for every constraint, an injective block-to-user matching
+    is sought. The first partition admitting one yields the plan.
     """
     k = len(schema.tasks)
     if k > task_cap:
@@ -97,23 +85,16 @@ def solve_fpt(
             f"(Bell({k}) = {bell_number(k)} partitions); kernelize first"
         )
     stats = SolveStats()
-    scopes = [frozenset(c.scope_set) for c in schema.constraints]
     tasks = schema.tasks
     for code in growth_strings(k):
         stats.partitions_examined += 1
-        nblocks = max(code, default=-1) + 1
-        raw: list[list[str]] = [[] for _ in range(nblocks)]
-        for t, which in zip(tasks, code):
-            raw[which].append(t)
-        blocks = tuple(tuple(b) for b in raw)
-        ok = True
-        for c, scope in zip(schema.constraints, scopes):
-            if not eligible_partition(c, _scope_partition(blocks, scope)):
-                ok = False
-                break
-        if not ok:
+        label = dict(zip(tasks, code))
+        if not all(eligible_partition(c, label) for c in schema.constraints):
             continue
         stats.matchings_attempted += 1
+        blocks: list[set[str]] = [set() for _ in range(max(code, default=-1) + 1)]
+        for t, which in zip(tasks, code):
+            blocks[which].add(t)
         partition = TaskPartition(frozenset(frozenset(b) for b in blocks))
         plan = assign_blocks(schema, partition) if k else Plan({})
         if plan is not None:
@@ -145,14 +126,6 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     assignment: dict[str, str] = {}
     nodes = 0
 
-    def holds(c: ConstraintInstance) -> bool:
-        # scope is fully assigned here by construction of by_depth
-        groups: dict[str, set[str]] = {}
-        for t in c.scope_set:
-            groups.setdefault(assignment[t], set()).add(t)
-        p = TaskPartition(frozenset(frozenset(g) for g in groups.values()))
-        return eligible_partition(c, p)
-
     def recurse(depth: int) -> bool:
         nonlocal nodes
         if depth == k:
@@ -169,7 +142,8 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
                     f"search visited more than {plan_cap} nodes"
                 )
             assignment[t] = u
-            if all(holds(c) for c in by_depth[depth]):
+            # scopes at this depth are fully assigned by construction
+            if all(eligible_partition(c, assignment) for c in by_depth[depth]):
                 if recurse(depth + 1):
                     del assignment[t]
                     return True

@@ -2,8 +2,9 @@
 
 import pytest
 
-from wspkit import formats
+from wspkit import formats, kernel, solver
 from wspkit.cli import main
+from wspkit.core import Plan
 
 WSTAR_TEXT = """\
 tasks: s1 s2 s3
@@ -59,6 +60,37 @@ class TestSolve:
 
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/instance.wsp"]) == 2
+
+
+    def test_invalid_plan_is_an_error(self, wstar_file, monkeypatch, capsys):
+        bad = solver.SolveOutcome(
+            solver.SATISFIABLE, Plan({"s1": "u1", "s2": "u1", "s3": "u1"})
+        )
+        monkeypatch.setattr(solver, "solve_fpt", lambda schema, task_cap: bad)
+        assert main(["solve", wstar_file]) == 2
+        captured = capsys.readouterr()
+        assert "status: satisfiable" not in captured.out
+        assert "error: solver returned an invalid plan" in captured.err
+
+
+class TestUnexpectedErrors:
+    def test_solver_crash_exits_2(self, wstar_file, monkeypatch, capsys):
+        def crash(schema, task_cap):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(solver, "solve_fpt", crash)
+        assert main(["solve", wstar_file]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("error: unexpected RuntimeError: boom\n")
+
+    def test_kernel_recursion_exits_2(self, wstar_file, tmp_path, monkeypatch, capsys):
+        def crash(schema):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(kernel, "kernelize", crash)
+        assert main(["kernelize", wstar_file, "--out", str(tmp_path / "o.wsp")]) == 2
+        assert "error: unexpected RecursionError" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from wspkit.constraints import (
     required_additions,
 )
 from wspkit.core import (
+    Plan,
     TaskPartition,
     at_least,
     at_most,
@@ -26,6 +27,7 @@ from wspkit.core import (
     separation,
 )
 from wspkit.errors import ContractError, DeadEndError, DomainError
+from wspkit.partitions import growth_strings
 
 NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -76,6 +78,54 @@ class TestEligiblePartition:
     def test_carrier_mismatch(self):
         with pytest.raises(DomainError):
             eligible_partition(disequality("a", "b"), blocks({"a"}))
+
+
+# Repeated-scope constraints from TestWeightedScopes.
+WEIGHTED_SCOPES = [
+    per_user(t_low, t_high, scope)
+    for scope in (("t1", "t1", "t1", "t2"), ("x", "x", "y", "z"), ("a", "a", "b"),
+                  ("a", "b", "a", "c"), ("a", "a", "b", "b"))
+    for t_low in (1, 2)
+    for t_high in (t_low, t_low + 1, t_low + 2)
+] + [at_most(1, ("x", "x", "y"))]
+
+
+class TestLabelType:
+    """Eligibility depends on which scope tasks share a label, not on the
+    labels' type or on tasks outside the scope."""
+
+    @pytest.mark.parametrize(
+        "c", catalog_instances(5) + WEIGHTED_SCOPES,
+        ids=lambda c: f"{c.kind}-{c.params}-{c.scope}",
+    )
+    def test_partition_plan_and_dict_agree(self, c):
+        scope = c.scope_set
+        for code in growth_strings(len(scope)):
+            groups: dict[int, set[str]] = {}
+            for t, which in zip(scope, code):
+                groups.setdefault(which, set()).add(t)
+            partition = blocks(*groups.values())
+            plan = Plan({t: f"user{which}" for t, which in zip(scope, code)})
+            ints = {"outside": 0, **{t: 10 * which for t, which in zip(scope, code)}}
+            verdict = eligible_partition(c, partition)
+            assert eligible_partition(c, plan) == verdict
+            assert eligible_partition(c, ints) == verdict
+
+    @pytest.mark.parametrize(
+        "c", catalog_instances(3) + WEIGHTED_SCOPES,
+        ids=lambda c: f"{c.kind}-{c.params}-{c.scope}",
+    )
+    def test_missing_scope_task(self, c):
+        missing, *rest = c.scope_set
+        for label in (Plan({t: "u" for t in rest}), {t: 0 for t in rest},
+                      blocks(set(rest) | {"outside"})):
+            with pytest.raises(DomainError):
+                eligible_partition(c, label)
+
+    def test_partition_of_superset_accepted(self):
+        c = disequality("a", "b")
+        assert eligible_partition(c, blocks({"a", "z"}, {"b"}))
+        assert not eligible_partition(c, blocks({"a", "b"}, {"z"}))
 
 
 class TestEligibleSet:

@@ -1,6 +1,8 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspkit.core import (
     Plan,
@@ -182,6 +184,57 @@ class TestKernelize:
         result = kernelize(schema)
         if result.verdict == REDUCED:
             assert not solve_bruteforce(result.schema).satisfiable
+
+
+    def test_peruser_repeats_survive_dedup(self):
+        # after merging c into a, peruser {a,c,b} becomes (a,a,b), which
+        # must not be dropped as a duplicate of peruser {a,b}
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u",), {t: {"u"} for t in "abc"},
+            (
+                equality("a", "c"),
+                per_user(1, 2, ("a", "b")),
+                per_user(1, 2, ("a", "c", "b")),
+            ),
+        )
+        assert not solve_bruteforce(schema).satisfiable
+        result = kernelize(schema)
+        assert len(result.schema.constraints) == 2
+        if result.verdict == REDUCED:
+            assert not solve_bruteforce(result.schema).satisfiable
+
+
+@st.composite
+def merged_peruser_schemas(draw):
+    """peruser scopes fed by an equality chain, each with a twin that names
+    one more chain task: merging the chain turns the twin's extra task into
+    a repeat, so the pair stays distinct only as multisets."""
+    k = draw(st.integers(2, 5))
+    tasks = tuple(f"t{i}" for i in range(k))
+    users = ("u1", "u2", "u3")[: draw(st.integers(1, 3))]
+    auth = {t: draw(st.sets(st.sampled_from(users), min_size=1)) for t in tasks}
+    chain = draw(st.permutations(tasks))[: draw(st.integers(2, k))]
+    constraints = [equality(x, y) for x, y in zip(chain, chain[1:])]
+    for _ in range(draw(st.integers(1, 2))):
+        scope = draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=3))
+        t_high = draw(st.integers(1, 3))
+        constraints.append(per_user(1, t_high, scope))
+        constraints.append(per_user(1, t_high, scope + [draw(st.sampled_from(chain))]))
+    return WorkflowSchema(tasks, users, auth, tuple(draw(st.permutations(constraints))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema=merged_peruser_schemas())
+def test_kernel_preserves_verdict_under_merged_peruser(schema):
+    expected = solve_bruteforce(schema).satisfiable
+    result = kernelize(schema)
+    if result.verdict == TRIVIALLY_UNSAT:
+        assert not expected
+        return
+    reduced = solve_bruteforce(result.schema)
+    assert reduced.satisfiable == expected
+    if reduced.satisfiable:
+        assert is_valid_plan(schema, lift_plan(result, reduced.plan))
 
 
 class TestExtendPartialPlan:
