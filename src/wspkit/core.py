@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -139,13 +140,14 @@ class WorkflowSchema:
         norm = {t: frozenset(self.auth.get(t, ())) for t in self.tasks}
         object.__setattr__(self, "auth", MappingProxyType(norm))
 
-    @property
+    # Computed once per schema: the fields they derive from never change.
+    @cached_property
     def task_index(self) -> Mapping[str, int]:
-        return {t: i for i, t in enumerate(self.tasks)}
+        return MappingProxyType({t: i for i, t in enumerate(self.tasks)})
 
-    @property
+    @cached_property
     def user_index(self) -> Mapping[str, int]:
-        return {u: i for i, u in enumerate(self.users)}
+        return MappingProxyType({u: i for i, u in enumerate(self.users)})
 
     def sort_tasks(self, tasks: Iterable[str]) -> tuple[str, ...]:
         idx = self.task_index

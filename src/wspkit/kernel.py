@@ -6,10 +6,20 @@ result has at most as many tasks and constraints as the input and at most
 as many users as tasks. A plan-extension procedure certifies correctness
 and a lift operation replays merges to recover plans for the original
 schema.
+
+Equality elimination works from a min-heap of (task, constraint) pairs
+ordered by declaration index. A merge rewrites only the constraints that
+name the absorbed task and queues their pairs again; every other pair
+keeps its verdict. So each merge happens at the first ineligible pair in
+declaration order, exactly where a rescan of the whole schema would find
+it, and the merge log is that of the rescan. The work is the total scope
+size plus the rewritten scopes, not a rescan per merge. Marking sorts each
+authorization list once and filters it in every Hall-violator round.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -62,6 +72,15 @@ def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance
     return ConstraintInstance(c.kind, c.params, scope=sub(c.scope))
 
 
+def _merged(
+    c: ConstraintInstance, survivor: str, absorbed: str
+) -> Optional[ConstraintInstance]:
+    """The constraint after the merge, or None for an equality between the two."""
+    if c.kind == EQ2 and set(c.scope) == {survivor, absorbed}:
+        return None
+    return _substitute(c, absorbed, survivor)
+
+
 def merge_tasks(
     schema: WorkflowSchema, survivor: str, absorbed: str
 ) -> tuple[WorkflowSchema, MergeRecord]:
@@ -76,18 +95,14 @@ def merge_tasks(
     if survivor not in schema.auth or absorbed not in schema.auth:
         raise DomainError("both tasks must belong to the schema")
     new_auth = schema.auth[survivor] & schema.auth[absorbed]
-    constraints = []
-    for c in schema.constraints:
-        if c.kind == EQ2 and set(c.scope) == {survivor, absorbed}:
-            continue
-        constraints.append(_substitute(c, absorbed, survivor))
+    merged = (_merged(c, survivor, absorbed) for c in schema.constraints)
     auth = {t: (new_auth if t == survivor else schema.auth[t])
             for t in schema.tasks if t != absorbed}
     reduced = WorkflowSchema(
         tasks=tuple(t for t in schema.tasks if t != absorbed),
         users=schema.users,
         auth=auth,
-        constraints=tuple(constraints),
+        constraints=tuple(c for c in merged if c is not None),
     )
     return reduced, MergeRecord(survivor, absorbed, new_auth)
 
@@ -112,35 +127,69 @@ class EqualityEliminationResult:
 def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     """Merge tasks until every singleton is eligible for every constraint.
 
-    Finds a task whose singleton is ineligible for some constraint, merges
-    it with a required addition (lowest declaration order first), and
-    restarts; at most k-1 merges happen. A singleton with no eligible
-    superset makes the instance trivially unsatisfiable.
+    A min-heap holds (task, constraint) pairs by declaration index. At the
+    smallest pair (s, c) whose singleton {s} is ineligible, s absorbs the
+    first required addition in declaration order; only the constraints
+    naming the absorbed task are rewritten, and their pairs are queued
+    again. A constraint that was not rewritten keeps its verdict, so every
+    merge happens at the smallest ineligible pair of the current schema,
+    and the merge log is the one a rescan from the first task after each
+    merge would give. At most k-1 merges happen; a pair is checked once,
+    plus once after each rewrite of its constraint. A singleton with no
+    eligible superset makes the instance trivially unsatisfiable.
     """
     _check_kinds(schema)
+    index = schema.task_index
+    auth = dict(schema.auth)
+    constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
+    occurs: dict[str, set[int]] = {}
+    heap: list[tuple[int, int]] = []
+    queued: set[tuple[int, int]] = set()
     merges: list[MergeRecord] = []
-    current = schema
-    changed = True
-    while changed:
-        changed = False
-        for s in current.tasks:
-            for c in current.constraints:
-                if s not in c.scope_set or eligible_set(c, {s}):
-                    continue
-                try:
-                    additions = required_additions(c, {s})
-                except DeadEndError:
-                    return EqualityEliminationResult(
-                        current, tuple(merges), unsatisfiable=True
-                    )
-                partner = current.sort_tasks(additions)[0]
-                current, record = merge_tasks(current, s, partner)
-                merges.append(record)
-                changed = True
-                break
-            if changed:
-                break
-    return EqualityEliminationResult(current, tuple(merges))
+
+    def queue(i: int) -> None:
+        for t in constraints[i].scope_set:
+            occurs.setdefault(t, set()).add(i)
+            if t in index and (index[t], i) not in queued:
+                queued.add((index[t], i))
+                heapq.heappush(heap, (index[t], i))
+
+    def result(unsatisfiable: bool) -> EqualityEliminationResult:
+        if not merges:
+            return EqualityEliminationResult(schema, (), unsatisfiable)
+        reduced = WorkflowSchema(
+            tasks=tuple(t for t in schema.tasks if t in auth),
+            users=schema.users,
+            auth=auth,
+            constraints=tuple(c for c in constraints if c is not None),
+        )
+        return EqualityEliminationResult(reduced, tuple(merges), unsatisfiable)
+
+    for i in range(len(constraints)):
+        queue(i)
+    while heap:
+        pair = heapq.heappop(heap)
+        queued.discard(pair)
+        s, c = schema.tasks[pair[0]], constraints[pair[1]]
+        # an absorbed task no longer occurs in any scope
+        if c is None or s not in c.scope_set or eligible_set(c, {s}):
+            continue
+        try:
+            additions = required_additions(c, {s})
+        except DeadEndError:
+            return result(unsatisfiable=True)
+        partner = schema.sort_tasks(additions)[0]
+        if partner not in auth:
+            raise DomainError("both tasks must belong to the schema")
+        auth[s] = auth[s] & auth.pop(partner)
+        merges.append(MergeRecord(s, partner, auth[s]))
+        for i in occurs.pop(partner):
+            constraints[i] = _merged(constraints[i], s, partner)
+            if constraints[i] is None:
+                occurs[s].discard(i)
+            else:
+                queue(i)
+    return result(unsatisfiable=False)
 
 
 @dataclass(frozen=True)
@@ -153,20 +202,24 @@ class MarkingResult:
 def mark_users(schema: WorkflowSchema) -> MarkingResult:
     """Mark users by repeated Hall-violator removal plus an SDR.
 
-    While the remaining authorization lists admit no system of distinct
-    representatives, a violator set of tasks is found via maximum
-    matching; its users are marked and every task whose authorization is
-    exhausted becomes hard. Finally the distinct representatives of the
-    remaining (easy) tasks are marked. At most one user is marked per task.
+    Each authorization list is sorted once into user declaration order;
+    every round filters those lists against the remaining users. While
+    they admit no system of distinct representatives, a violator set of
+    tasks is found via maximum matching; its users are marked and every
+    task whose authorization is exhausted becomes hard. Finally the
+    distinct representatives of the remaining (easy) tasks are marked. At
+    most one user is marked per task.
     """
+    index = schema.user_index
+    ordered = {t: sorted((u for u in schema.auth[t] if u in index), key=index.__getitem__)
+               for t in schema.tasks}
     remaining_tasks = list(schema.tasks)
     remaining_users = list(schema.users)
     marked: list[str] = []
     hard: list[str] = []
     while True:
         user_set = set(remaining_users)
-        adj = {t: [u for u in schema.users if u in schema.auth[t] and u in user_set]
-               for t in remaining_tasks}
+        adj = {t: [u for u in ordered[t] if u in user_set] for t in remaining_tasks}
         matching = maximum_matching(remaining_tasks, remaining_users, adj)
         violator = hall_violator(remaining_tasks, matching, adj)
         if violator is None:

@@ -13,22 +13,39 @@ def maximum_matching(
     """Maximum matching of left vertices to right vertices.
 
     Deterministic: left vertices are processed in order, neighbors tried in
-    the order given by adj. Returns a left -> right mapping.
+    the order given by adj. Each left vertex starts a depth-first search
+    for an augmenting path, kept on an explicit stack so that long paths
+    need no recursion. Returns a left -> right mapping.
     """
     match_right: dict[str, str] = {}
-
-    def augment(x: str, seen: set[str]) -> bool:
-        for y in adj.get(x, ()):
-            if y in seen:
+    for root in left:
+        seen: set[str] = set()
+        # path holds the right vertices of the search path; stack[i] holds
+        # the untried neighbors of its i-th left vertex, which is the root
+        # for i = 0 and the vertex matched to path[i - 1] otherwise
+        stack = [iter(adj.get(root, ()))]
+        path: list[str] = []
+        while stack:
+            for y in stack[-1]:
+                if y not in seen:
+                    break
+            else:
+                # no augmenting path through this left vertex
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(y)
-            if y not in match_right or augment(match_right[y], seen):
-                match_right[y] = x
-                return True
-        return False
-
-    for x in left:
-        augment(x, set())
+            path.append(y)
+            if y in match_right:
+                stack.append(iter(adj.get(match_right[y], ())))
+                continue
+            # augment: every right vertex on the path takes the left
+            # vertex before it
+            x = root
+            for y in path:
+                match_right[y], x = x, match_right.get(y)
+            break
     return {x: y for y, x in match_right.items()}
 
 

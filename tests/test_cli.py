@@ -135,6 +135,22 @@ class TestKernelize:
         assert main(["kernelize", str(path), "--out",
                      str(tmp_path / "o.wsp")]) == 2
 
+    def test_long_chained_authorization(self, tmp_path, capsys):
+        # t0: u0, ti: u(i-1) ui; matching the tasks in order walks
+        # augmenting paths as long as the chain
+        k = 3000
+        lines = ["tasks: " + " ".join(f"t{i}" for i in range(k)),
+                 "users: " + " ".join(f"u{i}" for i in range(k)),
+                 "auth t0: u0"]
+        lines += [f"auth t{i}: u{i - 1} u{i}" for i in range(1, k)]
+        path = tmp_path / "chain.wsp"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "reduced.wsp"
+        assert main(["kernelize", str(path), "--out", str(out)]) == 0
+        assert "verdict: reduced" in capsys.readouterr().out
+        reduced = formats.parse_instance(out.read_text())
+        assert len(reduced.users) <= len(reduced.tasks) == k
+
     def test_pipeline_kernelize_solve_verify(self, wstar_file, tmp_path):
         reduced = tmp_path / "reduced.wsp"
         assert main(["kernelize", wstar_file, "--out", str(reduced)]) == 0

@@ -113,3 +113,25 @@ class TestValidateSchema:
         schema = WorkflowSchema(("a",), ("u",), {"a": set()})
         report = validate_schema(schema)
         assert report.warnings and not report.errors
+
+
+class TestSchemaIndexes:
+    def test_computed_once_and_read_only(self, wstar):
+        assert wstar.task_index is wstar.task_index
+        assert wstar.user_index is wstar.user_index
+        assert dict(wstar.task_index) == {"s1": 0, "s2": 1, "s3": 2}
+        assert wstar.user_index["u6"] == 5
+        with pytest.raises(TypeError):
+            wstar.task_index["s4"] = 3
+
+    def test_equality_hashing_and_repr_unchanged(self, wstar):
+        fresh = WorkflowSchema(wstar.tasks, wstar.users, wstar.auth, wstar.constraints)
+        text = repr(fresh)
+        assert wstar.task_index and wstar.user_index  # fills the caches
+        assert wstar == fresh and fresh == wstar
+        assert repr(wstar) == text
+        assert "index" not in repr(wstar)
+        # the auth mapping is unhashable, so schemas never were hashable
+        for schema in (wstar, fresh):
+            with pytest.raises(TypeError):
+                hash(schema)

@@ -1,23 +1,33 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspkit import kernel
+from wspkit.constraints import eligible_set, required_additions
 from wspkit.core import (
     Plan,
     WorkflowSchema,
+    at_least,
     at_most,
+    binding,
     disequality,
     equality,
     is_valid_plan,
     per_user,
     separation,
 )
-from wspkit.errors import ClassificationError, ContractError, DomainError
+from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.formats import serialize_instance
 from wspkit.kernel import (
     REDUCED,
     TRIVIALLY_UNSAT,
+    EqualityEliminationResult,
+    MarkingResult,
     eliminate_equalities,
     extend_partial_plan,
     kernelize,
@@ -25,6 +35,7 @@ from wspkit.kernel import (
     mark_users,
     merge_tasks,
 )
+from wspkit.matching import hall_violator, maximum_matching
 from wspkit.solver import solve_bruteforce
 
 
@@ -292,3 +303,201 @@ class TestLiftPlan:
         result = kernelize(wstar)
         with pytest.raises(ContractError):
             lift_plan(result, Plan({"s1": "u1", "s3": "u1"}))
+
+
+# Reference implementations. Each is the straightforward form of a kernel
+# phase that the library replaced with a faster one giving the same output.
+
+
+def restart_scan_eliminate_equalities(schema):
+    """Merge at the first ineligible (task, constraint) pair in declaration
+    order, rebuild the schema with merge_tasks, and rescan from the start."""
+    kernel._check_kinds(schema)
+    merges = []
+    current = schema
+    changed = True
+    while changed:
+        changed = False
+        for s in current.tasks:
+            for c in current.constraints:
+                if s not in c.scope_set or eligible_set(c, {s}):
+                    continue
+                try:
+                    additions = required_additions(c, {s})
+                except DeadEndError:
+                    return EqualityEliminationResult(
+                        current, tuple(merges), unsatisfiable=True
+                    )
+                partner = current.sort_tasks(additions)[0]
+                current, record = merge_tasks(current, s, partner)
+                merges.append(record)
+                changed = True
+                break
+            if changed:
+                break
+    return EqualityEliminationResult(current, tuple(merges))
+
+
+def recursive_matching(left, right, adj):
+    """Augmenting paths by recursion, left vertices and neighbors in order."""
+    match_right = {}
+
+    def augment(x, seen):
+        for y in adj.get(x, ()):
+            if y in seen:
+                continue
+            seen.add(y)
+            if y not in match_right or augment(match_right[y], seen):
+                match_right[y] = x
+                return True
+        return False
+
+    for x in left:
+        augment(x, set())
+    return {x: y for y, x in match_right.items()}
+
+
+def scanning_mark_users(schema):
+    """User marking that rebuilds every adjacency list from schema.users."""
+    remaining_tasks = list(schema.tasks)
+    remaining_users = list(schema.users)
+    marked, hard = [], []
+    while True:
+        user_set = set(remaining_users)
+        adj = {t: [u for u in schema.users if u in schema.auth[t] and u in user_set]
+               for t in remaining_tasks}
+        matching = recursive_matching(remaining_tasks, remaining_users, adj)
+        violator = hall_violator(remaining_tasks, matching, adj)
+        if violator is None:
+            reps = {t: matching[t] for t in remaining_tasks}
+            marked.extend(reps[t] for t in remaining_tasks)
+            return MarkingResult(tuple(marked), tuple(hard), reps)
+        violator_users = set()
+        for t in schema.sort_tasks(violator):
+            violator_users |= set(adj[t])
+        marked.extend(schema.sort_users(violator_users))
+        remaining_users = [u for u in remaining_users if u not in violator_users]
+        user_set = set(remaining_users)
+        still = []
+        for t in remaining_tasks:
+            if schema.auth[t] & user_set:
+                still.append(t)
+            else:
+                hard.append(t)
+        remaining_tasks = still
+
+
+def reference_kernelize(schema):
+    with mock.patch.object(kernel, "eliminate_equalities",
+                           restart_scan_eliminate_equalities), \
+            mock.patch.object(kernel, "mark_users", scanning_mark_users):
+        return kernel.kernelize(schema)
+
+
+@st.composite
+def closed_kind_schemas(draw):
+    """Regular intersection-closed instances: equality chains mixed with
+    every closed kind, including peruser scopes with repeated tasks."""
+    k = draw(st.integers(2, 8))
+    tasks = tuple(f"t{i}" for i in range(k))
+    users = tuple(f"u{i}" for i in range(draw(st.integers(1, 4))))
+    auth = {t: draw(st.sets(st.sampled_from(users))) for t in tasks}
+    task = st.sampled_from(tasks)
+    scope = st.lists(task, min_size=1, max_size=4, unique=True)
+    constraints = []
+    for _ in range(draw(st.integers(0, 2))):
+        chain = draw(st.permutations(tasks))[: draw(st.integers(2, k))]
+        constraints += [equality(x, y) for x, y in zip(chain, chain[1:])]
+    constraints += draw(st.lists(st.one_of(
+        st.builds(disequality, task, task),
+        st.builds(separation, scope, scope),
+        st.builds(at_most, st.just(1), scope),
+        st.builds(at_least, st.integers(1, 2), scope),
+        st.builds(lambda a, b: binding((a,), (b,)), task, task),
+        st.builds(per_user, st.just(1), st.integers(1, 3),
+                  st.lists(task, min_size=1, max_size=5)),
+    ), max_size=6))
+    return WorkflowSchema(tasks, users, auth, tuple(draw(st.permutations(constraints))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=closed_kind_schemas())
+def test_kernel_phases_match_reference_implementations(schema):
+    fast = eliminate_equalities(schema)
+    slow = restart_scan_eliminate_equalities(schema)
+    assert fast.merges == slow.merges
+    assert fast.unsatisfiable == slow.unsatisfiable
+    assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+    assert (fast.schema is schema) == (slow.schema is schema)
+    fast = kernelize(schema)
+    slow = reference_kernelize(schema)
+    assert fast.verdict == slow.verdict
+    assert fast.merge_log == slow.merge_log
+    assert fast.marked == slow.marked
+    assert fast.hard == slow.hard
+    assert list(fast.representatives.items()) == list(slow.representatives.items())
+    assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    left = [f"x{i}" for i in range(draw(st.integers(0, 9)))]
+    right = [f"y{i}" for i in range(draw(st.integers(0, 9)))]
+    adj = {}
+    for x in left:
+        # some left vertices have no entry, and neighbors may repeat
+        if right and draw(st.booleans()):
+            adj[x] = draw(st.lists(st.sampled_from(right), max_size=2 * len(right)))
+    return left, right, adj
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=bipartite_graphs())
+def test_iterative_matching_matches_recursive(graph):
+    assert list(maximum_matching(*graph).items()) == list(recursive_matching(*graph).items())
+
+
+def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
+    # 400 tasks in 8 random equality trees, plus disequalities and peruser
+    # scopes across trees. A rescan after every merge re-checks all the
+    # pairs before the merge point, which grows quadratically.
+    rng = random.Random(8)
+    tasks = [f"t{i}" for i in range(400)]
+    trees = [tasks[g::8] for g in range(8)]
+    constraints = [equality(tree[rng.randrange(i)], tree[i])
+                   for tree in trees for i in range(1, len(tree))]
+    for _ in range(6):
+        a, b, c = (rng.choice(tree) for tree in rng.sample(trees, 3))
+        constraints += [disequality(a, b), per_user(1, 3, (a, b, c))]
+    rng.shuffle(constraints)
+    schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks}, constraints)
+    calls = 0
+
+    def counted(c, block):
+        nonlocal calls
+        calls += 1
+        return eligible_set(c, block)
+
+    monkeypatch.setattr(kernel, "eligible_set", counted)
+    result = eliminate_equalities(schema)
+    assert len(result.merges) == 400 - 8
+    assert not result.unsatisfiable
+    assert calls <= 2 * sum(c.arity for c in constraints)
+
+
+def chained_authorization(k):
+    """t0: u0 and ti: u(i-1) ui. Matching tasks in order, each new task
+    first tries the user of its predecessor, so the augmenting-path search
+    runs as deep as the chain before it succeeds."""
+    tasks = tuple(f"t{i}" for i in range(k))
+    users = tuple(f"u{i}" for i in range(k))
+    auth = {t: {users[max(i - 1, 0)], users[i]} for i, t in enumerate(tasks)}
+    return WorkflowSchema(tasks, users, auth)
+
+
+def test_kernelize_long_chained_authorization():
+    schema = chained_authorization(3000)
+    result = kernelize(schema)
+    assert result.verdict == REDUCED
+    assert len(result.schema.users) <= len(result.schema.tasks) == 3000
+    assert dict(result.representatives) == dict(zip(schema.tasks, schema.users))
