@@ -10,9 +10,7 @@ hitting set reductions.
 from wspkit.core import (
     ConstraintInstance,
     Plan,
-    TaskPartition,
     WorkflowSchema,
-    induced_partition,
     is_valid_plan,
     satisfies,
     validate_schema,
@@ -21,9 +19,7 @@ from wspkit.core import (
 __all__ = [
     "ConstraintInstance",
     "Plan",
-    "TaskPartition",
     "WorkflowSchema",
-    "induced_partition",
     "is_valid_plan",
     "satisfies",
     "validate_schema",

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from wspkit.core import ConstraintInstance, TaskPartition
+from wspkit.core import ConstraintInstance
 from wspkit.constraints import eligible_partition
 from wspkit.errors import ClassificationError, DomainError, ResourceLimitError
-from wspkit.partitions import set_partitions
+from wspkit.partitions import growth_strings, set_partitions
 
 Partition = frozenset[frozenset[int]]
 
@@ -228,12 +228,10 @@ def spec_from_constraint(
         raise ResourceLimitError(
             f"arity {len(scope)} exceeds the enumeration cap {arity_cap}"
         )
-    index = {t: i + 1 for i, t in enumerate(scope)}
     eligible = set()
-    for blocks in set_partitions(scope):
-        p = TaskPartition(frozenset(frozenset(b) for b in blocks))
-        if eligible_partition(c, p):
-            eligible.add(_canon(frozenset(index[t] for t in b) for b in blocks))
+    for code in growth_strings(len(scope)):
+        if eligible_partition(c, dict(zip(scope, code))):
+            eligible.add(_pattern(code))
     if not eligible:
         raise DomainError("constraint is unsatisfiable; no eligible partition")
     return RelationSpec(len(scope), frozenset(eligible))

@@ -2,14 +2,14 @@
 
 Each kind supports the well-behaved operations: partition eligibility,
 set eligibility, finding an eligible superset, and required additions for
-intersection-closed kinds. Partition eligibility is defined once, over a
-labelling of the scope: any mapping from scope tasks to hashable block
-labels (a plan, a growth string, a TaskPartition), where tasks sharing a
-label share a block and tasks outside the scope are ignored. Set
-eligibility is closed-form per kind; the closed forms are verified against
-partition enumeration in the test suite, and enumeration semantics is
-authoritative where the two could diverge (notably two-set kinds with
-overlapping sides).
+intersection-closed kinds. A partition is a labelling of the scope: any
+mapping from scope tasks to hashable block labels (such as a plan or a
+growth-string dict), where tasks sharing a label share a block and tasks
+outside the scope are ignored. Partition eligibility is defined once, over
+such labellings. Set eligibility is closed-form per kind; the closed forms
+are verified against partition enumeration in the test suite, and
+enumeration semantics is authoritative where the two could diverge
+(notably two-set kinds with overlapping sides).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from wspkit.core import (
     PERUSER,
     SEP,
     ConstraintInstance,
-    TaskPartition,
 )
 from wspkit.errors import ContractError, DeadEndError, DomainError
 from wspkit.partitions import set_partitions
@@ -99,9 +98,9 @@ def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> 
 
     ``label`` maps every scope task to a hashable block label: two scope
     tasks share a block iff their labels are equal. Anything indexable by
-    task will do, such as a growth-string dict, a Plan (labels are users) or
-    a TaskPartition (labels are blocks). Tasks outside the scope are
-    ignored, so a partition of any superset of the scope is accepted.
+    task will do, such as a growth-string dict or a Plan (labels are
+    users). Tasks outside the scope are ignored, so a labelling of any
+    superset of the scope is accepted.
     Raises DomainError if some scope task has no label.
     """
     try:
@@ -210,13 +209,14 @@ def required_additions(
 
 def enumerate_eligible_partitions(
     c: ConstraintInstance,
-) -> tuple[TaskPartition, ...]:
-    """All eligible partitions of the scope, by exhaustive enumeration."""
+) -> tuple[frozenset[frozenset[str]], ...]:
+    """All eligible partitions of the scope, each a frozenset of blocks,
+    by exhaustive enumeration in growth-string order."""
     out = []
     for blocks in set_partitions(c.scope_set):
-        p = TaskPartition(frozenset(frozenset(b) for b in blocks))
-        if eligible_partition(c, p):
-            out.append(p)
+        label = {t: i for i, b in enumerate(blocks) for t in b}
+        if eligible_partition(c, label):
+            out.append(frozenset(frozenset(b) for b in blocks))
     return tuple(out)
 
 
@@ -224,7 +224,7 @@ def enumerate_eligible_sets(c: ConstraintInstance) -> frozenset[frozenset[str]]:
     """Ground-truth eligible-set family from partition enumeration."""
     out: set[frozenset[str]] = {frozenset()}
     for p in enumerate_eligible_partitions(c):
-        out.update(p.blocks)
+        out.update(p)
     return frozenset(out)
 
 

@@ -1,4 +1,4 @@
-"""Workflow instance model: schemas, constraints, plans, partitions."""
+"""Workflow instance model: schemas, constraints, plans, validity checks."""
 
 from __future__ import annotations
 
@@ -24,10 +24,7 @@ KINDS = (EQ2, NEQ2, BIND, SEP, ATMOST, ATLEAST, PERUSER)
 
 
 def _dedup(items: Iterable[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for x in items:
-        seen.setdefault(x)
-    return tuple(seen)
+    return tuple(dict.fromkeys(items))
 
 
 @dataclass(frozen=True)
@@ -45,6 +42,13 @@ class ConstraintInstance:
     params: tuple[int, ...] = ()
     scope: tuple[str, ...] = ()
     scope_sets: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
+    # Cache of scope_set. Declared, so every instance holds it from __init__
+    # on: a cache first added to the instance __dict__ on use (as a
+    # cached_property does) made every later attribute read slower in the
+    # solver's eligibility loop.
+    _scope_set: Optional[tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -75,8 +79,10 @@ class ConstraintInstance:
 
     @property
     def scope_set(self) -> tuple[str, ...]:
-        """Distinct scope tasks in order of first occurrence."""
-        return _dedup(self.scope)
+        """Distinct scope tasks in order of first occurrence, computed once."""
+        if self._scope_set is None:
+            object.__setattr__(self, "_scope_set", _dedup(self.scope))
+        return self._scope_set
 
     @property
     def arity(self) -> int:
@@ -179,60 +185,6 @@ class Plan:
 
     def items(self):
         return self.assignment.items()
-
-
-@dataclass(frozen=True)
-class TaskPartition:
-    """A partition of a carrier set of tasks into disjoint nonempty blocks."""
-
-    blocks: frozenset[frozenset[str]]
-
-    def __post_init__(self) -> None:
-        blocks = frozenset(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        total = 0
-        for b in blocks:
-            if not b:
-                raise DomainError("partition blocks must be nonempty")
-            total += len(b)
-        if total != len(self.carrier):
-            raise DomainError("partition blocks must be pairwise disjoint")
-
-    @property
-    def carrier(self) -> frozenset[str]:
-        out: set[str] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
-
-    def __getitem__(self, task: str) -> frozenset[str]:
-        """The block holding the task, so a partition is a block labelling."""
-        for b in self.blocks:
-            if task in b:
-                return b
-        raise KeyError(task)
-
-    def restrict(self, carrier: Iterable[str]) -> "TaskPartition":
-        """Partition induced on a subset of the carrier."""
-        sub = frozenset(carrier)
-        kept = frozenset(b & sub for b in self.blocks if b & sub)
-        return TaskPartition(kept)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def induced_partition(plan: Plan, carrier: Iterable[str]) -> TaskPartition:
-    """Group the carrier tasks by assigned user.
-
-    Raises DomainError if some carrier task is unassigned.
-    """
-    groups: dict[str, set[str]] = {}
-    for t in carrier:
-        if t not in plan:
-            raise DomainError(f"task {t!r} is not assigned by the plan")
-        groups.setdefault(plan[t], set()).add(t)
-    return TaskPartition(frozenset(frozenset(g) for g in groups.values()))
 
 
 def satisfies(plan: Plan, c: ConstraintInstance) -> bool:

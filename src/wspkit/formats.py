@@ -166,7 +166,10 @@ def parse_relation_spec(text: str) -> RelationSpec:
     for line in lines[1:]:
         blocks = []
         for token in line.split("|"):
-            blocks.append(frozenset(int(x) for x in _parse_set(token.strip())))
+            try:
+                blocks.append(frozenset(int(x) for x in _parse_set(token.strip())))
+            except ValueError as exc:
+                raise ParseError(f"bad position in partition line: {line!r}") from exc
         eligible.append(_canon(blocks))
     try:
         return RelationSpec(arity, frozenset(eligible))
@@ -195,7 +198,10 @@ def parse_mchs(text: str) -> MchsInstance:
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"bad color line: {line!r}")
-            coloring[parts[1]] = int(parts[2])
+            try:
+                coloring[parts[1]] = int(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad color line: {line!r}") from exc
         elif line.startswith("set:"):
             members = line.split(":", 1)[1].split()
             sets.append(frozenset(members))
@@ -234,7 +240,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+            try:
+                num_vars = int(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad problem line: {line!r}") from exc
             continue
         try:
             for tok in line.split():

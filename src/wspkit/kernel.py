@@ -34,7 +34,6 @@ from wspkit.core import (
     Plan,
     WorkflowSchema,
     describe,
-    induced_partition,
     is_valid_plan,
 )
 from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
@@ -315,14 +314,14 @@ def extend_partial_plan(
     for t, u in assignment.items():
         if u not in schema.auth[t]:
             return None
-    blocks: list[tuple[set[str], str]] = []
-    if assignment:
-        p = induced_partition(Plan(assignment), assignment.keys())
-        blocks = [(set(b), assignment[next(iter(b))]) for b in p.blocks]
+    # the partial plan's blocks, keyed by user in order of first assignment
+    blocks: dict[str, set[str]] = {}
+    for t, u in assignment.items():
+        blocks.setdefault(u, set()).add(t)
     changed = True
     while changed:
         changed = False
-        for block, user in blocks:
+        for user, block in blocks.items():
             for c in schema.constraints:
                 part = block & set(c.scope_set)
                 if not part or eligible_set(c, part):

@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Hashable, Mapping, Optional
 
 from wspkit.constraints import eligible_partition
-from wspkit.core import (
-    ConstraintInstance,
-    Plan,
-    TaskPartition,
-    WorkflowSchema,
-)
+from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, describe
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.matching import maximum_matching
 from wspkit.partitions import bell_number, growth_strings
@@ -42,30 +37,32 @@ class SolveOutcome:
 
 
 def assign_blocks(
-    schema: WorkflowSchema, partition: TaskPartition
+    schema: WorkflowSchema, label: Mapping[str, Hashable]
 ) -> Optional[Plan]:
-    """Injective block-to-user assignment respecting every member's authorization."""
-    if partition.carrier != frozenset(schema.tasks):
-        raise DomainError("partition must cover all schema tasks")
-    blocks = sorted(
-        (schema.sort_tasks(b) for b in partition.blocks),
-        key=lambda b: schema.task_index[b[0]],
-    )
-    names = {i: b for i, b in enumerate(blocks)}
+    """Injective block-to-user assignment respecting every member's authorization.
+
+    ``label`` maps every schema task to a hashable block label, as in
+    ``eligible_partition``: tasks sharing a label form a block, and keys
+    outside the schema are ignored. Blocks are matched in order of their
+    first task, each trying its common users in declaration order, so the
+    plan depends only on the partition. Returns None if no injective
+    assignment exists. Raises DomainError if some schema task has no label.
+    """
+    blocks: dict[Hashable, list[str]] = {}
+    for t in schema.tasks:
+        try:
+            which = label[t]
+        except KeyError:
+            raise DomainError(f"task {t!r} has no block label") from None
+        blocks.setdefault(which, []).append(t)
     adj = {}
-    for i, b in names.items():
-        allowed = set(schema.users)
-        for t in b:
-            allowed &= schema.auth[t]
-        adj[i] = [u for u in schema.users if u in allowed]
-    matching = maximum_matching(list(names), schema.users, adj)
+    for which, b in blocks.items():
+        common = frozenset.intersection(*(schema.auth[t] for t in b))
+        adj[which] = [u for u in schema.users if u in common]
+    matching = maximum_matching(list(blocks), schema.users, adj)
     if len(matching) != len(blocks):
         return None
-    assignment = {}
-    for i, u in matching.items():
-        for t in names[i]:
-            assignment[t] = u
-    return Plan(assignment)
+    return Plan({t: u for which, u in matching.items() for t in blocks[which]})
 
 
 def solve_fpt(
@@ -92,11 +89,7 @@ def solve_fpt(
         if not all(eligible_partition(c, label) for c in schema.constraints):
             continue
         stats.matchings_attempted += 1
-        blocks: list[set[str]] = [set() for _ in range(max(code, default=-1) + 1)]
-        for t, which in zip(tasks, code):
-            blocks[which].add(t)
-        partition = TaskPartition(frozenset(frozenset(b) for b in blocks))
-        plan = assign_blocks(schema, partition) if k else Plan({})
+        plan = assign_blocks(schema, label)
         if plan is not None:
             return SolveOutcome(SATISFIABLE, plan, stats)
     return SolveOutcome(UNSATISFIABLE, None, stats)
@@ -112,14 +105,17 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     first valid plan in the full lexicographic enumeration. plan_cap bounds
     the number of search nodes visited, not the raw plan space.
     """
-    n, k = len(schema.users), len(schema.tasks)
-    if n == 0 and k > 0:
-        return [], SolveStats()
+    k = len(schema.tasks)
     # constraints checked as soon as their scope is fully assigned
     index = schema.task_index
     by_depth: list[list[ConstraintInstance]] = [[] for _ in range(k)]
-    for c in schema.constraints:
-        depth = max(index[t] for t in c.scope_set)
+    for i, c in enumerate(schema.constraints):
+        try:
+            depth = max(index[t] for t in c.scope_set)
+        except KeyError as exc:
+            raise DomainError(
+                f"constraint #{i} ({describe(c)}) names unknown task {exc.args[0]!r}"
+            ) from None
         by_depth[depth].append(c)
     stats = SolveStats()
     found: list[Plan] = []

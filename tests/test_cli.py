@@ -186,6 +186,13 @@ class TestClassify:
     def test_needs_spec_or_kind(self, capsys):
         assert main(["classify"]) == 2
 
+    def test_malformed_spec_position(self, tmp_path, capsys):
+        path = tmp_path / "rel.spec"
+        path.write_text("arity 2\n{1,x}\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
 
 class TestReduce:
     def test_sat(self, tmp_path, capsys):
@@ -218,6 +225,17 @@ class TestReduce:
                        "set: a\nset: b\n")
         assert main(["reduce", str(doc), "--from", "mchs",
                      "--gadget", "neq"]) == 2
+
+    @pytest.mark.parametrize("source, text", [
+        ("mchs", "vertices: a b\ncolor a one\ncolor b 2\nset: a\nset: b\n"),
+        ("sat", "p cnf two 1\n1 0\n"),
+    ])
+    def test_malformed_integer(self, tmp_path, capsys, source, text):
+        doc = tmp_path / "input.txt"
+        doc.write_text(text)
+        assert main(["reduce", str(doc), "--from", source]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
 
 
 class TestGenerate:

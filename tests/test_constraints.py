@@ -17,7 +17,6 @@ from wspkit.constraints import (
 )
 from wspkit.core import (
     Plan,
-    TaskPartition,
     at_least,
     at_most,
     binding,
@@ -33,7 +32,8 @@ NAMES = ("a", "b", "c", "d", "e", "f")
 
 
 def blocks(*groups):
-    return TaskPartition(frozenset(frozenset(g) for g in groups))
+    """The labelling that puts each group of tasks in its own block."""
+    return {t: i for i, g in enumerate(groups) for t in g}
 
 
 def catalog_instances(max_arity):
@@ -168,8 +168,9 @@ class TestClosedFormsAgainstEnumeration:
         from wspkit.partitions import set_partitions
 
         for raw in set_partitions(c.scope_set):
-            p = TaskPartition(frozenset(frozenset(b) for b in raw))
-            assert eligible_partition(c, p) == all(b in truth for b in p.blocks)
+            assert eligible_partition(c, blocks(*raw)) == all(
+                frozenset(b) in truth for b in raw
+            )
 
 
 class TestWeightedScopes:
@@ -273,8 +274,8 @@ def test_peruser_set_and_partition_consistency(t_low, extra, size, data):
     parts = enumerate_eligible_partitions(c)
     family = enumerate_eligible_sets(c)
     for p in parts:
-        for b in p.blocks:
+        for b in p:
             assert b in family
     if parts:
         chosen = data.draw(st.sampled_from(parts))
-        assert eligible_partition(c, chosen)
+        assert eligible_partition(c, blocks(*chosen))

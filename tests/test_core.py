@@ -1,43 +1,19 @@
-"""Schema, plan, partition, and validity checks."""
+"""Schema, constraint, plan, and validity checks."""
 
 import pytest
 
 from wspkit.core import (
     Plan,
-    TaskPartition,
     WorkflowSchema,
     at_most,
     disequality,
     equality,
-    induced_partition,
     is_valid_plan,
     per_user,
     satisfies,
     validate_schema,
 )
 from wspkit.errors import DomainError
-
-
-def blocks(*groups):
-    return frozenset(frozenset(g) for g in groups)
-
-
-class TestInducedPartition:
-    def test_running_example_plan(self, wstar_plan):
-        p = induced_partition(wstar_plan, ("s1", "s2", "s3"))
-        assert p.blocks == blocks({"s1", "s2"}, {"s3"})
-
-    def test_singleton_carrier(self):
-        p = induced_partition(Plan({"s": "u"}), ("s",))
-        assert p.blocks == blocks({"s"})
-
-    def test_constant_plan(self):
-        p = induced_partition(Plan({"a": "u", "b": "u", "c": "u"}), "abc")
-        assert p.blocks == blocks({"a", "b", "c"})
-
-    def test_unassigned_carrier_task(self):
-        with pytest.raises(DomainError):
-            induced_partition(Plan({"a": "u"}), ("a", "b"))
 
 
 class TestSatisfies:
@@ -70,20 +46,6 @@ class TestIsValidPlan:
         assert any(v.check == "complete" for v in verdict.violations)
 
 
-class TestTaskPartition:
-    def test_rejects_empty_block(self):
-        with pytest.raises(DomainError):
-            TaskPartition(frozenset({frozenset()}))
-
-    def test_rejects_overlapping_blocks(self):
-        with pytest.raises(DomainError):
-            TaskPartition(blocks({"a", "b"}, {"b", "c"}))
-
-    def test_restrict(self):
-        p = TaskPartition(blocks({"a", "b"}, {"c"}))
-        assert p.restrict({"b", "c"}).blocks == blocks({"b"}, {"c"})
-
-
 class TestConstraintInstance:
     def test_peruser_bounds_validated(self):
         with pytest.raises(DomainError):
@@ -97,6 +59,16 @@ class TestConstraintInstance:
         c = per_user(1, 2, ("b", "a", "b", "c"))
         assert c.scope_set == ("b", "a", "c")
         assert c.arity == 3
+
+    def test_scope_set_computed_once(self):
+        c = per_user(1, 2, ("b", "a", "b", "c"))
+        fresh = per_user(1, 2, ("b", "a", "b", "c"))
+        text, key = repr(c), hash(c)
+        assert c.scope_set is c.scope_set
+        assert c == fresh and fresh == c
+        assert hash(c) == key == hash(fresh)
+        assert repr(c) == text == repr(fresh)
+        assert "scope_set=" not in repr(c)
 
 
 class TestValidateSchema:

@@ -92,6 +92,10 @@ class TestRelationSpecFormat:
         with pytest.raises(ParseError):
             formats.parse_relation_spec("{1,2}|{3}\n")
 
+    def test_non_integer_position(self):
+        with pytest.raises(ParseError, match="x"):
+            formats.parse_relation_spec("arity 2\n{1,x}\n")
+
 
 class TestMchsFormat:
     def test_round_trip(self):
@@ -103,6 +107,10 @@ class TestMchsFormat:
     def test_empty_color_class_rejected(self):
         with pytest.raises(ParseError):
             formats.parse_mchs("vertices: a\ncolor a 2\nset: a\n")
+
+    def test_non_integer_color(self):
+        with pytest.raises(ParseError, match="color a one"):
+            formats.parse_mchs("vertices: a\ncolor a one\nset: a\n")
 
 
 class TestDimacs:
@@ -117,6 +125,10 @@ class TestDimacs:
     def test_missing_problem_line(self):
         with pytest.raises(ParseError):
             formats.parse_dimacs("1 2 0\n")
+
+    def test_non_integer_variable_count(self):
+        with pytest.raises(ParseError, match="p cnf two 1"):
+            formats.parse_dimacs("p cnf two 1\n1 0\n")
 
 
 class TestKernelLog:

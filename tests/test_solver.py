@@ -2,15 +2,17 @@
 
 import pytest
 
+from wspkit.constraints import eligible_partition
 from wspkit.core import (
     Plan,
-    TaskPartition,
     WorkflowSchema,
     disequality,
     is_valid_plan,
 )
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.kernel import REDUCED, kernelize, lift_plan
+from wspkit.matching import maximum_matching
+from wspkit.partitions import growth_strings
 from wspkit.reductions import gen_random_instance
 from wspkit.solver import (
     assign_blocks,
@@ -21,7 +23,48 @@ from wspkit.solver import (
 
 
 def blocks(*groups):
-    return TaskPartition(frozenset(frozenset(g) for g in groups))
+    """The labelling that puts each group of tasks in its own block."""
+    return {t: i for i, g in enumerate(groups) for t in g}
+
+
+ALL_KINDS = ["eq", "neq", "bind", "sep", "atmost", "atleast", "peruser"]
+
+
+def reference_plan(schema):
+    """solve_fpt's contract, restated without solver code.
+
+    The plan is that of the first partition, in growth-string order, that
+    is eligible for every constraint and whose blocks match injectively to
+    users; blocks are matched in order of their first task, each trying
+    its common users in declaration order. None if there is no such
+    partition.
+    """
+    tasks = schema.tasks
+    for code in growth_strings(len(tasks)):
+        label = dict(zip(tasks, code))
+        if not all(eligible_partition(c, label) for c in schema.constraints):
+            continue
+        # growth-string block numbers follow the order of first tasks
+        block_ids = list(range(max(code, default=-1) + 1))
+        adj = {
+            b: [u for u in schema.users
+                if all(u in schema.auth[t] for t in tasks if label[t] == b)]
+            for b in block_ids
+        }
+        matching = maximum_matching(block_ids, schema.users, adj)
+        if len(matching) == len(block_ids):
+            return {t: matching[label[t]] for t in tasks}
+    return None
+
+
+def random_schema(seed, max_tasks):
+    return gen_random_instance(
+        num_tasks=2 + seed % (max_tasks - 1),
+        num_users=2 + seed % 6,
+        num_constraints=seed % 7,
+        kinds=ALL_KINDS,
+        seed=seed,
+    )
 
 
 class TestSolveFpt:
@@ -47,6 +90,32 @@ class TestSolveFpt:
         schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks})
         with pytest.raises(ResourceLimitError):
             solve_fpt(schema)
+
+
+class TestSolveFptContract:
+    """solve_fpt returns the plan of the first eligible, matchable partition
+    in growth-string order; any faster search must keep that plan."""
+
+    @staticmethod
+    def check(schema):
+        outcome = solve_fpt(schema)
+        expected = reference_plan(schema)
+        assert outcome.satisfiable == (expected is not None)
+        if expected is not None:
+            assert dict(outcome.plan.items()) == expected
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_instances(self, seed):
+        self.check(random_schema(seed, max_tasks=7))
+
+    @pytest.mark.parametrize("seed", range(0, 120, 8))
+    def test_no_users(self, seed):
+        schema = random_schema(seed, max_tasks=7)
+        self.check(WorkflowSchema(schema.tasks, (), {}, schema.constraints))
+
+    @pytest.mark.parametrize("users", [(), ("u1", "u2")])
+    def test_no_tasks(self, users):
+        self.check(WorkflowSchema((), users, {}))
 
 
 class TestSolveBruteforce:
@@ -135,3 +204,54 @@ class TestAssignBlocks:
                                 {"a": {"u", "v"}, "b": {"v"}})
         plan = assign_blocks(schema, blocks({"a", "b"}))
         assert dict(plan.items()) == {"a": "v", "b": "v"}
+
+    def test_missing_task_label(self):
+        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}})
+        with pytest.raises(DomainError, match="'b'"):
+            assign_blocks(schema, {"a": 0, "c": 0})
+
+    def test_keys_outside_schema_ignored(self):
+        schema = WorkflowSchema(("a", "b"), ("u", "v"),
+                                {"a": {"u"}, "b": {"u", "v"}})
+        plan = assign_blocks(schema, {"ghost": 0, "b": 1, "a": 0})
+        assert dict(plan.items()) == {"a": "u", "b": "v"}
+
+    def test_blocks_matched_in_order_of_first_task(self):
+        schema = WorkflowSchema(("a", "b"), ("u", "v"),
+                                {"a": {"u", "v"}, "b": {"u", "v"}})
+        # a's block takes u first; b's search for u then moves a onto v
+        plan = assign_blocks(schema, {"b": 0, "a": 1})
+        assert dict(plan.items()) == {"a": "v", "b": "u"}
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_label_types_give_the_same_plan(self, seed):
+        schema = random_schema(seed, max_tasks=6)
+        tasks = schema.tasks
+        for code in growth_strings(len(tasks)):
+            ints = dict(zip(tasks, code))
+            reversed_ints = {t: -x for t, x in ints.items()}
+            strs = {t: f"block {x}" for t, x in ints.items()}
+            sets = {t: frozenset(s for s in tasks if ints[s] == x)
+                    for t, x in ints.items()}
+            plan = assign_blocks(schema, ints)
+            for label in (reversed_ints, strs, sets):
+                assert assign_blocks(schema, label) == plan
+
+
+class TestUnknownScopeTask:
+    SCHEMA = WorkflowSchema(("a",), ("u",), {"a": {"u"}},
+                            (disequality("a", "ghost"),))
+
+    @pytest.mark.parametrize("entry", [
+        solve_fpt,
+        solve_bruteforce,
+        lambda schema: project(schema, {"a"}),
+    ], ids=["fpt", "bruteforce", "project"])
+    def test_domain_error_names_the_task(self, entry):
+        with pytest.raises(DomainError, match="'ghost'"):
+            entry(self.SCHEMA)
+
+    def test_oracle_names_the_constraint(self):
+        for entry in (solve_bruteforce, lambda schema: project(schema, set())):
+            with pytest.raises(DomainError, match=r"constraint #0 \(a != ghost\)"):
+                entry(self.SCHEMA)
