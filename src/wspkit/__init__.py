@@ -2,7 +2,7 @@
 
 Instance model, a catalog of user-independent constraints, classification
 of explicit relations (regularity, intersection-closure), a partial kernel
-reducing the user set to at most the number of tasks, partition-enumeration
+reducing the user set to at most the number of tasks, partition-search
 and brute-force solvers, and generators for the SAT and multi-colored
 hitting set reductions.
 """

@@ -33,10 +33,8 @@ def _load_schema(path: str):
 
 def cmd_solve(args) -> int:
     schema = _load_schema(args.instance)
-    if args.engine == "fpt":
-        outcome = solver.solve_fpt(schema, task_cap=args.task_cap)
-    else:
-        outcome = solver.solve_bruteforce(schema, plan_cap=args.plan_cap)
+    engine = solver.solve_fpt if args.engine == "fpt" else solver.solve_bruteforce
+    outcome = engine(schema, plan_cap=args.plan_cap)
     if outcome.satisfiable and not is_valid_plan(schema, outcome.plan):
         raise ContractError("solver returned an invalid plan")
     print(f"status: {outcome.status}")
@@ -191,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--engine", choices=("fpt", "brute"), default="fpt")
     p.add_argument("--plan-out")
-    p.add_argument("--task-cap", type=int, default=solver.DEFAULT_TASK_CAP)
-    p.add_argument("--plan-cap", type=int, default=solver.DEFAULT_PLAN_CAP)
+    p.add_argument("--plan-cap", type=int, default=solver.DEFAULT_PLAN_CAP,
+                   help="search-node budget of either engine (default %(default)s)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a plan against an instance")

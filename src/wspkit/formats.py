@@ -229,7 +229,9 @@ def serialize_mchs(inst: MchsInstance) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """A CNF formula from DIMACS text; the ``p cnf`` line must count its clauses."""
     num_vars: int | None = None
+    num_clauses = 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -241,7 +243,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line: {line!r}")
             try:
-                num_vars = int(parts[2])
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"bad problem line: {line!r}") from exc
             continue
@@ -260,6 +262,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         clauses.append(tuple(pending))
     if num_vars is None:
         raise ParseError("missing 'p cnf' problem line")
+    if len(clauses) != num_clauses:
+        raise ParseError(
+            f"problem line declares {num_clauses} clauses, found {len(clauses)}"
+        )
     return CnfFormula(num_vars, tuple(clauses))
 
 

@@ -80,32 +80,6 @@ def _merged(
     return _substitute(c, absorbed, survivor)
 
 
-def merge_tasks(
-    schema: WorkflowSchema, survivor: str, absorbed: str
-) -> tuple[WorkflowSchema, MergeRecord]:
-    """Merge two tasks forced to share a user.
-
-    The absorbed task is replaced by the survivor in every scope, the
-    survivor's authorization becomes the intersection, and an explicit
-    equality between the two is dropped.
-    """
-    if survivor == absorbed:
-        raise DomainError("cannot merge a task with itself")
-    if survivor not in schema.auth or absorbed not in schema.auth:
-        raise DomainError("both tasks must belong to the schema")
-    new_auth = schema.auth[survivor] & schema.auth[absorbed]
-    merged = (_merged(c, survivor, absorbed) for c in schema.constraints)
-    auth = {t: (new_auth if t == survivor else schema.auth[t])
-            for t in schema.tasks if t != absorbed}
-    reduced = WorkflowSchema(
-        tasks=tuple(t for t in schema.tasks if t != absorbed),
-        users=schema.users,
-        auth=auth,
-        constraints=tuple(c for c in merged if c is not None),
-    )
-    return reduced, MergeRecord(survivor, absorbed, new_auth)
-
-
 def _check_kinds(schema: WorkflowSchema) -> None:
     for i, c in enumerate(schema.constraints):
         regular, closed = classification(c)

@@ -1,4 +1,11 @@
-"""Satisfiability: FPT partition-enumeration solver, brute-force oracle, projection."""
+"""Satisfiability: FPT partition search, brute-force oracle, projection.
+
+``solve_fpt`` searches task partitions depth first, pruning prefixes that
+break a completed constraint scope, a block's common authorization or the
+user count, and matches each surviving partition's blocks to users.
+``solve_bruteforce`` searches user assignments and is kept as an
+independent oracle. Both bound their search nodes by ``plan_cap``.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +16,19 @@ from wspkit.constraints import eligible_partition
 from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, describe
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.matching import maximum_matching
-from wspkit.partitions import bell_number, growth_strings
+# Not called here: bench/tracing.py rebinds solver.growth_strings, and the
+# traced benchmark reports partitions.enumerate_s only while the name exists.
+from wspkit.partitions import growth_strings  # noqa: F401
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
 
-DEFAULT_TASK_CAP = 12
 DEFAULT_PLAN_CAP = 10**7
 
 
 @dataclass
 class SolveStats:
+    # solve_fpt: search nodes, each the placement of a task in a block
     partitions_examined: int = 0
     matchings_attempted: int = 0
     assignments_examined: int = 0
@@ -65,34 +74,102 @@ def assign_blocks(
     return Plan({t: u for which, u in matching.items() for t in blocks[which]})
 
 
-def solve_fpt(
-    schema: WorkflowSchema, task_cap: int = DEFAULT_TASK_CAP
-) -> SolveOutcome:
-    """Decide satisfiability by enumerating task partitions.
+def _constraints_by_depth(
+    schema: WorkflowSchema,
+) -> list[list[ConstraintInstance]]:
+    """Constraints grouped by the index of their last scope task.
 
-    Partitions are enumerated as restricted growth strings in
-    lexicographic order; for each partition whose growth-string labelling
-    is eligible for every constraint, an injective block-to-user matching
-    is sought. The first partition admitting one yields the plan.
+    A search that assigns tasks in declaration order checks each
+    constraint at that depth, where its scope first becomes complete.
+    Raises DomainError naming the constraint if it names an unknown task.
     """
-    k = len(schema.tasks)
-    if k > task_cap:
-        raise ResourceLimitError(
-            f"{k} tasks exceeds the cap {task_cap} "
-            f"(Bell({k}) = {bell_number(k)} partitions); kernelize first"
-        )
-    stats = SolveStats()
+    index = schema.task_index
+    by_depth: list[list[ConstraintInstance]] = [[] for _ in schema.tasks]
+    for i, c in enumerate(schema.constraints):
+        try:
+            depth = max(index[t] for t in c.scope_set)
+        except KeyError as exc:
+            raise DomainError(
+                f"constraint #{i} ({describe(c)}) names unknown task {exc.args[0]!r}"
+            ) from None
+        by_depth[depth].append(c)
+    return by_depth
+
+
+def _budget_exhausted(plan_cap: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"search visited more than {plan_cap} nodes (node budget plan_cap)"
+    )
+
+
+def solve_fpt(
+    schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
+) -> SolveOutcome:
+    """Decide satisfiability by a depth-first search over task partitions.
+
+    The search grows a restricted growth string one task at a time, in
+    declaration order, trying the open blocks' labels and then a new one,
+    so complete strings are reached in lexicographic order. A prefix is
+    pruned when a constraint whose scope it completes is not eligible,
+    when a block's tasks have no common authorized user, or when it would
+    open more blocks than there are users. A pruned subtree holds only
+    partitions that fail a constraint or admit no injective block-to-user
+    matching, so the first leaf that ``assign_blocks`` can match is the
+    first such partition in growth-string order, and its plan is returned.
+
+    ``stats.partitions_examined`` counts search nodes (placements of a
+    task in a block); more than ``plan_cap`` of them raise
+    ResourceLimitError. The search keeps its own stack, so any number of
+    tasks fits.
+    """
     tasks = schema.tasks
-    for code in growth_strings(k):
-        stats.partitions_examined += 1
-        label = dict(zip(tasks, code))
-        if not all(eligible_partition(c, label) for c in schema.constraints):
-            continue
-        stats.matchings_attempted += 1
-        plan = assign_blocks(schema, label)
-        if plan is not None:
-            return SolveOutcome(SATISFIABLE, plan, stats)
-    return SolveOutcome(UNSATISFIABLE, None, stats)
+    k, n = len(tasks), len(schema.users)
+    by_depth = _constraints_by_depth(schema)
+    stats = SolveStats()
+    label: dict[str, int] = {}
+    # common[b]: the users authorized for every task of open block b
+    common: list[frozenset[str]] = []
+    # before[d]: common[label of task d] before task d joined it, or None
+    # if task d opened the block
+    before: list[Optional[frozenset[str]]] = [None] * k
+    next_label = [0] * (k + 1)
+    depth = 0
+    while True:
+        if depth < k and next_label[depth] <= min(len(common), n - 1):
+            b = next_label[depth]
+            next_label[depth] = b + 1
+            stats.partitions_examined += 1
+            if stats.partitions_examined > plan_cap:
+                raise _budget_exhausted(plan_cap)
+            t = tasks[depth]
+            previous = common[b] if b < len(common) else None
+            users = schema.auth[t] if previous is None else previous & schema.auth[t]
+            if not users:
+                continue
+            if previous is None:
+                common.append(users)
+            else:
+                common[b] = users
+            before[depth] = previous
+            label[t] = b
+            if all(eligible_partition(c, label) for c in by_depth[depth]):
+                depth += 1
+                next_label[depth] = 0
+                continue
+        else:
+            if depth == k:
+                stats.matchings_attempted += 1
+                plan = assign_blocks(schema, label)
+                if plan is not None:
+                    return SolveOutcome(SATISFIABLE, plan, stats)
+            if depth == 0:
+                return SolveOutcome(UNSATISFIABLE, None, stats)
+            depth -= 1
+        # take the task at this depth back out of its block
+        if before[depth] is None:
+            common.pop()
+        else:
+            common[label[tasks[depth]]] = before[depth]
 
 
 def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
@@ -106,17 +183,7 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     the number of search nodes visited, not the raw plan space.
     """
     k = len(schema.tasks)
-    # constraints checked as soon as their scope is fully assigned
-    index = schema.task_index
-    by_depth: list[list[ConstraintInstance]] = [[] for _ in range(k)]
-    for i, c in enumerate(schema.constraints):
-        try:
-            depth = max(index[t] for t in c.scope_set)
-        except KeyError as exc:
-            raise DomainError(
-                f"constraint #{i} ({describe(c)}) names unknown task {exc.args[0]!r}"
-            ) from None
-        by_depth[depth].append(c)
+    by_depth = _constraints_by_depth(schema)
     stats = SolveStats()
     found: list[Plan] = []
     assignment: dict[str, str] = {}
@@ -134,9 +201,7 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
                 continue
             nodes += 1
             if nodes > plan_cap:
-                raise ResourceLimitError(
-                    f"search visited more than {plan_cap} nodes"
-                )
+                raise _budget_exhausted(plan_cap)
             assignment[t] = u
             # scopes at this depth are fully assigned by construction
             if all(eligible_partition(c, assignment) for c in by_depth[depth]):

@@ -62,11 +62,18 @@ class TestSolve:
         assert main(["solve", "/nonexistent/instance.wsp"]) == 2
 
 
+    @pytest.mark.parametrize("engine", ["fpt", "brute"])
+    def test_node_budget(self, wstar_file, capsys, engine):
+        assert main(["solve", wstar_file, "--engine", engine,
+                     "--plan-cap", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: search visited more than 1 nodes (node budget plan_cap)\n"
+
     def test_invalid_plan_is_an_error(self, wstar_file, monkeypatch, capsys):
         bad = solver.SolveOutcome(
             solver.SATISFIABLE, Plan({"s1": "u1", "s2": "u1", "s3": "u1"})
         )
-        monkeypatch.setattr(solver, "solve_fpt", lambda schema, task_cap: bad)
+        monkeypatch.setattr(solver, "solve_fpt", lambda schema, plan_cap: bad)
         assert main(["solve", wstar_file]) == 2
         captured = capsys.readouterr()
         assert "status: satisfiable" not in captured.out
@@ -75,7 +82,7 @@ class TestSolve:
 
 class TestUnexpectedErrors:
     def test_solver_crash_exits_2(self, wstar_file, monkeypatch, capsys):
-        def crash(schema, task_cap):
+        def crash(schema, plan_cap):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(solver, "solve_fpt", crash)
@@ -229,6 +236,7 @@ class TestReduce:
     @pytest.mark.parametrize("source, text", [
         ("mchs", "vertices: a b\ncolor a one\ncolor b 2\nset: a\nset: b\n"),
         ("sat", "p cnf two 1\n1 0\n"),
+        ("sat", "p cnf 2 x\n1 0\n"),
     ])
     def test_malformed_integer(self, tmp_path, capsys, source, text):
         doc = tmp_path / "input.txt"
@@ -236,6 +244,13 @@ class TestReduce:
         assert main(["reduce", str(doc), "--from", source]) == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+
+    def test_clause_count_disagrees(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 2\n1 0\n")
+        assert main(["reduce", str(cnf), "--from", "sat"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: problem line declares 2 clauses, found 1\n"
 
 
 class TestGenerate:

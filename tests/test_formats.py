@@ -130,6 +130,15 @@ class TestDimacs:
         with pytest.raises(ParseError, match="p cnf two 1"):
             formats.parse_dimacs("p cnf two 1\n1 0\n")
 
+    def test_non_integer_clause_count(self):
+        with pytest.raises(ParseError, match="p cnf 2 x"):
+            formats.parse_dimacs("p cnf 2 x\n1 0\n")
+
+    @pytest.mark.parametrize("declared", [0, 1, 3])
+    def test_clause_count_must_agree(self, declared):
+        with pytest.raises(ParseError, match=f"declares {declared} clauses, found 2"):
+            formats.parse_dimacs(f"p cnf 2 {declared}\n1 -2 0\n2 0\n")
+
 
 class TestKernelLog:
     def test_sections_present(self, wstar):

@@ -28,12 +28,12 @@ from wspkit.kernel import (
     TRIVIALLY_UNSAT,
     EqualityEliminationResult,
     MarkingResult,
+    MergeRecord,
     eliminate_equalities,
     extend_partial_plan,
     kernelize,
     lift_plan,
     mark_users,
-    merge_tasks,
 )
 from wspkit.matching import hall_violator, maximum_matching
 from wspkit.solver import solve_bruteforce
@@ -307,6 +307,30 @@ class TestLiftPlan:
 
 # Reference implementations. Each is the straightforward form of a kernel
 # phase that the library replaced with a faster one giving the same output.
+
+
+def merge_tasks(schema, survivor, absorbed):
+    """Merge two tasks forced to share a user, rebuilding the schema.
+
+    The absorbed task is replaced by the survivor in every scope, the
+    survivor's authorization becomes the intersection, and an explicit
+    equality between the two is dropped.
+    """
+    if survivor == absorbed:
+        raise DomainError("cannot merge a task with itself")
+    if survivor not in schema.auth or absorbed not in schema.auth:
+        raise DomainError("both tasks must belong to the schema")
+    new_auth = schema.auth[survivor] & schema.auth[absorbed]
+    merged = (kernel._merged(c, survivor, absorbed) for c in schema.constraints)
+    auth = {t: (new_auth if t == survivor else schema.auth[t])
+            for t in schema.tasks if t != absorbed}
+    reduced = WorkflowSchema(
+        tasks=tuple(t for t in schema.tasks if t != absorbed),
+        users=schema.users,
+        auth=auth,
+        constraints=tuple(c for c in merged if c is not None),
+    )
+    return reduced, MergeRecord(survivor, absorbed, new_auth)
 
 
 def restart_scan_eliminate_equalities(schema):

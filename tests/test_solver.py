@@ -57,6 +57,16 @@ def reference_plan(schema):
     return None
 
 
+def pigeonhole(k):
+    """k pairwise-distinct tasks and k - 1 users: unsatisfiable."""
+    tasks = tuple(f"t{i}" for i in range(k))
+    users = tuple(f"u{i}" for i in range(k - 1))
+    return WorkflowSchema(
+        tasks, users, {t: set(users) for t in tasks},
+        tuple(disequality(a, b) for i, a in enumerate(tasks) for b in tasks[i + 1:]),
+    )
+
+
 def random_schema(seed, max_tasks):
     return gen_random_instance(
         num_tasks=2 + seed % (max_tasks - 1),
@@ -85,11 +95,46 @@ class TestSolveFpt:
         )
         assert not solve_fpt(schema).satisfiable
 
-    def test_task_cap(self):
-        tasks = tuple(f"t{i}" for i in range(13))
-        schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks})
-        with pytest.raises(ResourceLimitError):
-            solve_fpt(schema)
+    def test_node_budget(self):
+        schema = pigeonhole(10)
+        nodes = solve_fpt(schema).stats.partitions_examined
+        assert not solve_fpt(schema, plan_cap=nodes).satisfiable
+        with pytest.raises(ResourceLimitError,
+                           match=rf"more than {nodes - 1} nodes \(node budget plan_cap\)"):
+            solve_fpt(schema, plan_cap=nodes - 1)
+
+    @pytest.mark.parametrize("k", [10, 16])
+    def test_pigeonhole_nodes(self, k):
+        # the more-blocks-than-users prune settles it, not Bell(k) leaves
+        outcome = solve_fpt(pigeonhole(k))
+        assert not outcome.satisfiable
+        assert outcome.stats.partitions_examined < k * k
+        assert outcome.stats.matchings_attempted == 0
+
+    def test_authorization_prune(self):
+        # task i may take only user i: every shared block is pruned at once
+        k = 8
+        tasks = tuple(f"t{i}" for i in range(k))
+        schema = WorkflowSchema(tasks, tuple(f"u{i}" for i in range(k)),
+                                {t: {f"u{i}"} for i, t in enumerate(tasks)})
+        outcome = solve_fpt(schema)
+        assert outcome.satisfiable
+        assert outcome.stats.partitions_examined == k * (k + 1) // 2
+        assert outcome.stats.matchings_attempted == 1
+
+    def test_thousands_of_tasks(self):
+        # a disequality chain: the search alternates two blocks to depth k
+        k = 3000
+        tasks = tuple(f"t{i}" for i in range(k))
+        users = ("u", "v", "w")
+        schema = WorkflowSchema(
+            tasks, users, {t: set(users) for t in tasks},
+            tuple(disequality(a, b) for a, b in zip(tasks, tasks[1:])),
+        )
+        outcome = solve_fpt(schema)
+        assert outcome.satisfiable
+        assert is_valid_plan(schema, outcome.plan)
+        assert {u for _, u in outcome.plan.items()} == {"u", "v"}
 
 
 class TestSolveFptContract:
@@ -148,6 +193,21 @@ class TestOracleAgreement:
         for outcome in (fpt, brute):
             if outcome.satisfiable:
                 assert is_valid_plan(schema, outcome.plan)
+
+    @pytest.mark.parametrize("seed", range(160))
+    def test_random_instances_up_to_nine_tasks(self, seed):
+        schema = gen_random_instance(
+            num_tasks=2 + seed % 8,
+            num_users=2 + (seed // 8) % 6,
+            num_constraints=(seed // 3) % 6,
+            kinds=ALL_KINDS,
+            seed=seed,
+            density=0.7,
+        )
+        fpt = solve_fpt(schema)
+        assert fpt.satisfiable == solve_bruteforce(schema).satisfiable
+        if fpt.satisfiable:
+            assert is_valid_plan(schema, fpt.plan)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_kernel_preserves_status(self, seed):
@@ -252,6 +312,7 @@ class TestUnknownScopeTask:
             entry(self.SCHEMA)
 
     def test_oracle_names_the_constraint(self):
-        for entry in (solve_bruteforce, lambda schema: project(schema, set())):
+        for entry in (solve_fpt, solve_bruteforce,
+                      lambda schema: project(schema, set())):
             with pytest.raises(DomainError, match=r"constraint #0 \(a != ghost\)"):
                 entry(self.SCHEMA)
