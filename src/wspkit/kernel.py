@@ -13,8 +13,9 @@ name the absorbed task and queues their pairs again; every other pair
 keeps its verdict. So each merge happens at the first ineligible pair in
 declaration order, exactly where a rescan of the whole schema would find
 it, and the merge log is that of the rescan. The work is the total scope
-size plus the rewritten scopes, not a rescan per merge. Marking sorts each
-authorization list once and filters it in every Hall-violator round.
+size plus the rewritten scopes, not a rescan per merge. Marking makes one
+maximum matching; its deficient set gives the hard tasks and the violator
+users at once, and at most one more matching gives the representatives.
 """
 
 from __future__ import annotations
@@ -173,47 +174,44 @@ class MarkingResult:
 
 
 def mark_users(schema: WorkflowSchema) -> MarkingResult:
-    """Mark users by repeated Hall-violator removal plus an SDR.
+    """Mark the users of the deficient set, then distinct representatives.
 
-    Each authorization list is sorted once into user declaration order;
-    every round filters those lists against the remaining users. While
-    they admit no system of distinct representatives, a violator set of
-    tasks is found via maximum matching; its users are marked and every
-    task whose authorization is exhausted becomes hard. Finally the
-    distinct representatives of the remaining (easy) tasks are marked. At
-    most one user is marked per task.
+    One maximum matching M of the tasks, on authorization lists sorted once
+    into user order, decides the marking. Its deficient set D (see
+    ``hall_violator``) is the hard set. Every user in N(D) is matched into
+    D, and D holds an unmatched task, so |N(D)| < |D|; N(D) is marked.
+    Every task outside D is matched outside N(D), so one more maximum
+    matching of those tasks to the users outside N(D) is complete, and its
+    representatives are marked. At most one user is marked per task. When
+    M covers every task, D is empty and M gives the representatives.
+
+    Repeated Hall-violator removal ends with the same sets. Its removed
+    tasks H and users U have N(H) = U; the rounds' matchings of violator
+    users into violators, with the last round's matching outside U, form a
+    maximum matching whose deficient set is H, and every maximum matching
+    has the same deficient set. The second matching gets the inputs of the
+    loop's last round. ``hard`` is in task order; ``marked`` is the
+    violator users in user order, then the representatives in task order.
     """
     index = schema.user_index
-    ordered = {t: sorted((u for u in schema.auth[t] if u in index), key=index.__getitem__)
-               for t in schema.tasks}
-    remaining_tasks = list(schema.tasks)
-    remaining_users = list(schema.users)
-    marked: list[str] = []
-    hard: list[str] = []
-    while True:
-        user_set = set(remaining_users)
-        adj = {t: [u for u in ordered[t] if u in user_set] for t in remaining_tasks}
-        matching = maximum_matching(remaining_tasks, remaining_users, adj)
-        violator = hall_violator(remaining_tasks, matching, adj)
-        if violator is None:
-            reps = {t: matching[t] for t in remaining_tasks}
-            for t in remaining_tasks:
-                marked.append(reps[t])
-            return MarkingResult(tuple(marked), tuple(hard), reps)
-        violator_users = set()
-        for t in schema.sort_tasks(violator):
-            violator_users |= set(adj[t])
-        for u in schema.sort_users(violator_users):
-            marked.append(u)
-        remaining_users = [u for u in remaining_users if u not in violator_users]
-        user_set = set(remaining_users)
-        still = []
-        for t in remaining_tasks:
-            if schema.auth[t] & user_set:
-                still.append(t)
-            else:
-                hard.append(t)
-        remaining_tasks = still
+    adj = {t: sorted((u for u in schema.auth[t] if u in index), key=index.__getitem__)
+           for t in schema.tasks}
+    matching = maximum_matching(schema.tasks, schema.users, adj)
+    deficient = hall_violator(schema.tasks, matching, adj) or frozenset()
+    violators = {u for t in deficient for u in adj[t]}
+    easy = [t for t in schema.tasks if t not in deficient]
+    if deficient:
+        matching = maximum_matching(
+            easy,
+            [u for u in schema.users if u not in violators],
+            {t: [u for u in adj[t] if u not in violators] for t in easy},
+        )
+    reps = {t: matching[t] for t in easy}
+    return MarkingResult(
+        schema.sort_users(violators) + tuple(reps.values()),
+        tuple(t for t in schema.tasks if t in deficient),
+        reps,
+    )
 
 
 def _dedup_constraints(schema: WorkflowSchema) -> WorkflowSchema:

@@ -1,4 +1,5 @@
-"""Bipartite maximum matching by augmenting paths, with a Hall-violator witness."""
+"""Bipartite maximum matching by augmenting paths, and the deficient set
+of a maximum matching: its largest Hall violator."""
 
 from __future__ import annotations
 
@@ -54,18 +55,19 @@ def hall_violator(
     matching: Mapping[str, str],
     adj: Mapping[str, Sequence[str]],
 ) -> Optional[frozenset[str]]:
-    """A deficiency witness for an incomplete matching.
+    """The largest deficiency witness for a maximum matching.
 
-    Returns the set of left vertices reachable by alternating paths from
-    the first unmatched left vertex; its neighborhood has size strictly
-    smaller than the set. Returns None if the matching covers all of left.
+    Returns the set D of left vertices reachable by alternating paths from
+    all unmatched left vertices (the deficient part of the Dulmage-Mendelsohn
+    decomposition). Every neighbor of D is matched into D, so |N(D)| < |D|,
+    and every left vertex outside D is matched outside N(D). Returns None if
+    the matching covers all of left.
     """
-    unmatched = [x for x in left if x not in matching]
-    if not unmatched:
+    frontier = [x for x in left if x not in matching]
+    if not frontier:
         return None
     match_right = {y: x for x, y in matching.items()}
-    frontier = [unmatched[0]]
-    reach_left = {unmatched[0]}
+    reach_left = set(frontier)
     reach_right: set[str] = set()
     while frontier:
         x = frontier.pop()

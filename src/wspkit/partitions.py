@@ -51,14 +51,3 @@ def set_partitions(items: Sequence[T]) -> Iterator[tuple[tuple[T, ...], ...]]:
         for item, which in zip(items, code):
             blocks[which].append(item)
         yield tuple(tuple(b) for b in blocks)
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]

@@ -31,7 +31,6 @@ class SolveStats:
     # solve_fpt: search nodes, each the placement of a task in a block
     partitions_examined: int = 0
     matchings_attempted: int = 0
-    assignments_examined: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,6 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     def recurse(depth: int) -> bool:
         nonlocal nodes
         if depth == k:
-            stats.assignments_examined += 1
             found.append(Plan(dict(assignment)))
             return stop_at_first
         t = schema.tasks[depth]

@@ -1,15 +1,26 @@
 """Text formats: instances, plans, relation specs, MCHS, DIMACS, kernel logs."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wspkit import formats
 from wspkit.classify import spec_from_constraint
-from wspkit.core import Plan, per_user
-from wspkit.errors import ParseError
+from wspkit.core import (
+    Plan,
+    at_least,
+    at_most,
+    binding,
+    disequality,
+    equality,
+    per_user,
+    separation,
+)
+from wspkit.errors import DomainError, ParseError
 from wspkit.kernel import kernelize
-from wspkit.reductions import CnfFormula, gen_random_instance
+from wspkit.reductions import CnfFormula, MchsInstance, gen_random_instance
+
+NAMES = st.text("abcxyz019_", min_size=1, max_size=3)
 
 WSTAR_TEXT = """\
 tasks: s1 s2 s3
@@ -81,12 +92,48 @@ class TestPlanFormat:
         with pytest.raises(ParseError):
             formats.parse_plan("a u\na v\n")
 
+    @given(tasks=st.lists(NAMES, unique=True, max_size=8), users=st.lists(NAMES, min_size=1),
+           data=st.data())
+    def test_random_plans_round_trip(self, tasks, users, data):
+        plan = Plan({t: data.draw(st.sampled_from(users)) for t in tasks})
+        order = data.draw(st.permutations(tasks))
+        text = formats.serialize_plan(plan, order)
+        back = formats.parse_plan(text)
+        assert back == plan
+        assert formats.serialize_plan(back, order) == text
+
 
 class TestRelationSpecFormat:
     def test_round_trip(self):
         spec = spec_from_constraint(per_user(1, 2, ("a", "b", "c")))
         text = formats.serialize_relation_spec(spec)
         assert formats.parse_relation_spec(text) == spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_catalog_specs_round_trip(self, data):
+        scope = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True)
+        count = st.integers(1, 6)
+        c = data.draw(st.one_of(
+            st.builds(equality, st.just("a"), st.sampled_from("bcde")),
+            st.builds(disequality, st.just("a"), st.sampled_from("bcde")),
+            st.builds(binding, scope, scope),
+            st.builds(separation, scope, scope),
+            st.builds(at_most, count, scope),
+            st.builds(at_least, count, scope),
+            st.builds(lambda low, extra, ts: per_user(low, low + extra, ts),
+                      st.integers(1, 3), st.integers(0, 3),
+                      st.lists(st.sampled_from("abcde"), min_size=1, max_size=6)),
+        ))
+        try:
+            spec = spec_from_constraint(c)
+        except DomainError:
+            assume(False)
+        assert spec.arity <= 5
+        text = formats.serialize_relation_spec(spec)
+        back = formats.parse_relation_spec(text)
+        assert back == spec
+        assert formats.serialize_relation_spec(back) == text
 
     def test_requires_arity_line(self):
         with pytest.raises(ParseError):
@@ -103,6 +150,21 @@ class TestMchsFormat:
                 "set: a c\nset: b\n")
         inst = formats.parse_mchs(text)
         assert formats.serialize_mchs(inst) == text
+
+    @given(vertices=st.lists(NAMES, unique=True, min_size=1, max_size=8), data=st.data())
+    def test_random_instances_round_trip(self, vertices, data):
+        drawn = data.draw(st.lists(st.integers(1, 4), min_size=len(vertices),
+                                   max_size=len(vertices)))
+        # renumber the colors in use to 1..l, so that no class is empty
+        renumber = {c: i + 1 for i, c in enumerate(sorted(set(drawn)))}
+        sets = data.draw(st.lists(st.lists(st.sampled_from(vertices), unique=True),
+                                  max_size=4))
+        inst = MchsInstance(vertices, sets, len(renumber),
+                            {v: renumber[c] for v, c in zip(vertices, drawn)})
+        text = formats.serialize_mchs(inst)
+        back = formats.parse_mchs(text)
+        assert back == inst
+        assert formats.serialize_mchs(back) == text
 
     def test_empty_color_class_rejected(self):
         with pytest.raises(ParseError):
@@ -121,6 +183,16 @@ class TestDimacs:
     def test_round_trip(self):
         f = CnfFormula(3, ((1, -2, 3), (-1,)))
         assert formats.parse_dimacs(formats.serialize_dimacs(f)) == f
+
+    @given(num_vars=st.integers(1, 8), data=st.data())
+    def test_random_formulas_round_trip(self, num_vars, data):
+        literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = data.draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=6))
+        formula = CnfFormula(num_vars, tuple(map(tuple, clauses)))
+        text = formats.serialize_dimacs(formula)
+        back = formats.parse_dimacs(text)
+        assert back == formula
+        assert formats.serialize_dimacs(back) == text
 
     def test_missing_problem_line(self):
         with pytest.raises(ParseError):

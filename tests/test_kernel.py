@@ -144,6 +144,24 @@ class TestMarkUsers:
         result = mark_users(schema)
         assert len(result.marked) <= 3
 
+    def test_two_violators_in_one_pass(self):
+        # matching in task order leaves c and d unmatched; the removal loop
+        # takes the violator {a, c} of u3 first and {b, d} of u1 second
+        schema = WorkflowSchema(
+            ("a", "b", "c", "d", "e"), ("u1", "u2", "u3", "u4"),
+            {"a": {"u3"}, "b": {"u1"}, "c": {"u3"}, "d": {"u1"}, "e": {"u2", "u4"}},
+        )
+        loop = scanning_mark_users(schema)
+        assert loop.hard == ("a", "c", "b", "d")
+        assert loop.marked == ("u3", "u1", "u2")
+        with mock.patch.object(kernel, "maximum_matching",
+                               wraps=kernel.maximum_matching) as matchings:
+            result = mark_users(schema)
+        assert matchings.call_count == 2
+        assert result.hard == ("a", "b", "c", "d")
+        assert result.marked == ("u1", "u3", "u2")
+        assert dict(result.representatives) == {"e": "u2"}
+
 
 class TestKernelize:
     def test_running_example(self, wstar):
@@ -382,7 +400,32 @@ def recursive_matching(left, right, adj):
 
 
 def scanning_mark_users(schema):
-    """User marking that rebuilds every adjacency list from schema.users."""
+    """User marking by repeated Hall-violator removal: rebuild every
+    adjacency list from schema.users, match afresh, and remove the violator
+    reachable from the first unmatched task, until the matching is complete."""
+
+    def first_violator(left, matching, adj):
+        """Left vertices reachable by alternating paths from the first
+        unmatched left vertex; None if the matching covers left."""
+        unmatched = [x for x in left if x not in matching]
+        if not unmatched:
+            return None
+        match_right = {y: x for x, y in matching.items()}
+        frontier = [unmatched[0]]
+        reach_left = {unmatched[0]}
+        reach_right = set()
+        while frontier:
+            x = frontier.pop()
+            for y in adj.get(x, ()):
+                if y in reach_right:
+                    continue
+                reach_right.add(y)
+                x2 = match_right[y]
+                if x2 not in reach_left:
+                    reach_left.add(x2)
+                    frontier.append(x2)
+        return frozenset(reach_left)
+
     remaining_tasks = list(schema.tasks)
     remaining_users = list(schema.users)
     marked, hard = [], []
@@ -391,7 +434,7 @@ def scanning_mark_users(schema):
         adj = {t: [u for u in schema.users if u in schema.auth[t] and u in user_set]
                for t in remaining_tasks}
         matching = recursive_matching(remaining_tasks, remaining_users, adj)
-        violator = hall_violator(remaining_tasks, matching, adj)
+        violator = first_violator(remaining_tasks, matching, adj)
         if violator is None:
             reps = {t: matching[t] for t in remaining_tasks}
             marked.extend(reps[t] for t in remaining_tasks)
@@ -457,10 +500,59 @@ def test_kernel_phases_match_reference_implementations(schema):
     slow = reference_kernelize(schema)
     assert fast.verdict == slow.verdict
     assert fast.merge_log == slow.merge_log
-    assert fast.marked == slow.marked
-    assert fast.hard == slow.hard
-    assert list(fast.representatives.items()) == list(slow.representatives.items())
+    assert_same_marking(fast.schema, fast, slow)
     assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+
+
+def assert_same_marking(schema, fast, slow):
+    """The same hard tasks, marked users and representatives as the removal
+    loop, with hard in task order and marked as the violator users in user
+    order followed by the representatives in task order."""
+    assert list(fast.representatives.items()) == list(slow.representatives.items())
+    assert set(fast.hard) == set(slow.hard)
+    assert set(fast.marked) == set(slow.marked)
+    assert fast.hard == tuple(t for t in schema.tasks if t in set(slow.hard))
+    reps = tuple(slow.representatives.values())
+    assert fast.marked == schema.sort_users(set(slow.marked) - set(reps)) + reps
+
+
+@st.composite
+def clustered_schemas(draw):
+    """Up to 30 tasks in clusters, each authorized within a few users drawn
+    from up to 30: a cluster with fewer users than tasks is a Hall violator,
+    and disjoint violators take the removal loop several rounds."""
+    k = draw(st.integers(1, 30))
+    tasks = tuple(f"t{i}" for i in range(k))
+    users = tuple(f"u{i}" for i in range(draw(st.integers(1, 30))))
+    order = draw(st.permutations(tasks))
+    auth = {}
+    while order:
+        size = draw(st.integers(1, 6))
+        cluster, order = order[:size], order[size:]
+        width = min(draw(st.integers(1, len(cluster) + 1)), len(users))
+        pool = draw(st.lists(st.sampled_from(users), min_size=width, max_size=width,
+                             unique=True))
+        for t in cluster:
+            auth[t] = draw(st.sets(st.sampled_from(pool), min_size=1))
+    return WorkflowSchema(tasks, users, auth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schema=clustered_schemas())
+def test_one_pass_marking_matches_removal_loop(schema):
+    with mock.patch.object(kernel, "maximum_matching",
+                           wraps=kernel.maximum_matching) as matchings:
+        fast = mark_users(schema)
+    slow = scanning_mark_users(schema)
+    assert_same_marking(schema, fast, slow)
+    assert matchings.call_count == (2 if fast.hard else 1)
+    violators = set(fast.marked) - set(fast.representatives.values())
+    assert violators == {u for t in fast.hard for u in schema.auth[t]}
+    assert len(violators) < len(fast.hard) or not fast.hard
+    result = kernelize(schema)
+    assert serialize_instance(result.schema) == serialize_instance(
+        reference_kernelize(schema).schema)
+    assert len(result.schema.users) <= len(result.schema.tasks)
 
 
 @st.composite
@@ -479,6 +571,23 @@ def bipartite_graphs(draw):
 @given(graph=bipartite_graphs())
 def test_iterative_matching_matches_recursive(graph):
     assert list(maximum_matching(*graph).items()) == list(recursive_matching(*graph).items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=bipartite_graphs())
+def test_hall_violator_is_the_deficient_set(graph):
+    left, right, adj = graph
+    matching = maximum_matching(left, right, adj)
+    violator = hall_violator(left, matching, adj)
+    unmatched = {x for x in left if x not in matching}
+    assert (violator is None) == (not unmatched)
+    if violator is None:
+        return
+    assert unmatched <= violator
+    match_right = {y: x for x, y in matching.items()}
+    neighbors = {y for x in violator for y in adj.get(x, ())}
+    assert all(match_right.get(y) in violator for y in neighbors)
+    assert len(neighbors) < len(violator)
 
 
 def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
