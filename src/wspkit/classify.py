@@ -1,62 +1,46 @@
 """Classification of explicitly given small-arity relations.
 
 A relation is given either as a RelationSpec (its eligible partitions of
-{1,..,r}) or as a TupleTable (explicit tuples over a finite universe).
+{1,..,r}, each a restricted growth string whose index i is position i + 1)
+or as a TupleTable (explicit tuples over a finite universe).
 The predicates decide user-independence, regularity, intersection-closure,
 and the ternary gadget condition used by the hitting-set reduction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 from wspkit.core import ConstraintInstance
-from wspkit.constraints import eligible_partition
+from wspkit.constraints import enumerate_eligible_partitions
 from wspkit.errors import ClassificationError, DomainError, ResourceLimitError
-from wspkit.partitions import growth_strings, set_partitions
-
-Partition = frozenset[frozenset[int]]
+from wspkit.partitions import blocks, growth_string, growth_strings
 
 DEFAULT_ARITY_CAP = 8
 
 
-def _canon(blocks) -> Partition:
-    return frozenset(frozenset(b) for b in blocks)
-
-
-def _sort_key(part: Partition):
-    return sorted(sorted(b) for b in part)
-
-
-def all_partitions(r: int):
-    for blocks in set_partitions(range(1, r + 1)):
-        yield _canon(blocks)
-
-
 @dataclass(frozen=True)
 class RelationSpec:
-    """An arity-r user-independent relation as its eligible partitions."""
+    """An arity-r user-independent relation as its eligible partitions,
+    each a restricted growth string of length r."""
 
     arity: int
-    eligible_partitions: frozenset[Partition]
+    eligible_partitions: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self,
-            "eligible_partitions",
-            frozenset(_canon(p) for p in self.eligible_partitions),
+            self, "eligible_partitions", frozenset(map(tuple, self.eligible_partitions))
         )
-        ground = frozenset(range(1, self.arity + 1))
-        for p in self.eligible_partitions:
-            total = sum(len(b) for b in p)
-            if total != self.arity or frozenset().union(*p) != ground:
-                raise DomainError(f"not a partition of [1..{self.arity}]: {sorted(map(sorted, p))}")
+        for code in self.eligible_partitions:
+            if len(code) != self.arity or growth_string(code) != code:
+                raise DomainError(
+                    f"not a growth string of length {self.arity}: {code}"
+                )
         if not self.eligible_partitions:
             raise DomainError("relation must be satisfiable (some eligible partition)")
-
-    def is_eligible(self, blocks) -> bool:
-        return _canon(blocks) in self.eligible_partitions
 
 
 @dataclass(frozen=True)
@@ -81,24 +65,6 @@ class UserIndependenceResult:
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
-def _pattern(t: tuple[int, ...]) -> Partition:
-    groups: dict[int, set[int]] = {}
-    for i, x in enumerate(t, start=1):
-        groups.setdefault(x, set()).add(i)
-    return _canon(groups.values())
-
-
-def _canonical_tuple(part: Partition, r: int) -> tuple[int, ...]:
-    """Lexicographically least tuple realizing a given equality pattern."""
-    out = [0] * r
-    nxt = 1
-    for b in sorted(part, key=min):
-        for i in b:
-            out[i - 1] = nxt
-        nxt += 1
-    return tuple(out)
-
-
 def is_user_independent(table: TupleTable) -> UserIndependenceResult:
     """Decide whether tuple membership depends only on the equality pattern.
 
@@ -109,39 +75,24 @@ def is_user_independent(table: TupleTable) -> UserIndependenceResult:
     r, u = table.arity, table.universe
     if u < 2 * r:
         raise DomainError(f"universe {u} too small; need at least {2 * r}")
-    by_pattern: dict[Partition, list[tuple[int, ...]]] = {}
+    by_pattern: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for t in sorted(table.tuples):
-        by_pattern.setdefault(_pattern(t), []).append(t)
-    eligible: set[Partition] = set()
-    for part in all_partitions(r):
-        present = by_pattern.get(part, [])
-        p = len(part)
-        total = 1
-        for i in range(p):  # falling factorial u * (u-1) * ...
-            total *= u - i
+        by_pattern.setdefault(growth_string(t), []).append(t)
+    eligible: set[tuple[int, ...]] = set()
+    for code in growth_strings(r):
+        present = by_pattern.get(code)
         if not present:
             continue
-        if len(present) == total:
-            eligible.add(part)
+        nblocks = max(code, default=-1) + 1
+        if len(present) == math.perm(u, nblocks):
+            eligible.add(code)
             continue
-        # some realization is absent: find the least one
+        # some realization is absent: return the first, trying users in order
         realized = set(present)
-        missing = None
-        if _canonical_tuple(part, r) not in realized:
-            missing = _canonical_tuple(part, r)
-        else:
-            from itertools import permutations, combinations
-
-            blocks = sorted(part, key=min)
-            for users in permutations(range(1, u + 1), p):
-                cand = [0] * r
-                for b, usr in zip(blocks, users):
-                    for i in b:
-                        cand[i - 1] = usr
-                if tuple(cand) not in realized:
-                    missing = tuple(cand)
-                    break
-        return UserIndependenceResult(False, witness=(present[0], missing))
+        for users in permutations(range(1, u + 1), nblocks):
+            missing = tuple(users[x] for x in code)
+            if missing not in realized:
+                return UserIndependenceResult(False, witness=(present[0], missing))
     if not eligible:
         raise DomainError("relation must be satisfiable (nonempty table)")
     return UserIndependenceResult(True, spec=RelationSpec(r, frozenset(eligible)))
@@ -150,29 +101,32 @@ def is_user_independent(table: TupleTable) -> UserIndependenceResult:
 def eligible_sets(spec: RelationSpec) -> frozenset[frozenset[int]]:
     """Blocks of eligible partitions, plus the empty set by convention."""
     out: set[frozenset[int]] = {frozenset()}
-    for p in spec.eligible_partitions:
-        out.update(p)
+    for code in spec.eligible_partitions:
+        out.update(frozenset(i + 1 for i in b) for b in blocks(code))
     return frozenset(out)
 
 
 @dataclass(frozen=True)
 class RegularityResult:
     regular: bool
-    counterexample: Optional[Partition] = None
+    counterexample: Optional[tuple[int, ...]] = None
 
 
 def is_regular(spec: RelationSpec) -> RegularityResult:
-    """A relation is regular iff each partition with all blocks eligible is eligible."""
+    """A relation is regular iff each partition with all blocks eligible is eligible.
+
+    The counterexample, if any, is the failing growth string whose sorted
+    blocks are lexicographically least.
+    """
     family = eligible_sets(spec)
-    best: Optional[Partition] = None
-    for part in all_partitions(spec.arity):
-        if part in spec.eligible_partitions:
-            continue
-        if all(b in family for b in part):
-            if best is None or _sort_key(part) < _sort_key(best):
-                best = part
-    if best is not None:
-        return RegularityResult(False, counterexample=best)
+    failing = [
+        code
+        for code in growth_strings(spec.arity)
+        if code not in spec.eligible_partitions
+        and all(frozenset(i + 1 for i in b) in family for b in blocks(code))
+    ]
+    if failing:
+        return RegularityResult(False, counterexample=min(failing, key=blocks))
     return RegularityResult(True)
 
 
@@ -208,14 +162,8 @@ def matches_ternary_condition(spec: RelationSpec) -> bool:
     """Gadget condition: {{1,2},{3}} and {{1,3},{2}} eligible, singletons not."""
     if spec.arity != 3:
         raise DomainError("the ternary condition applies to arity-3 relations only")
-    p12 = _canon([{1, 2}, {3}])
-    p13 = _canon([{1, 3}, {2}])
-    singles = _canon([{1}, {2}, {3}])
-    return (
-        p12 in spec.eligible_partitions
-        and p13 in spec.eligible_partitions
-        and singles not in spec.eligible_partitions
-    )
+    eligible = spec.eligible_partitions
+    return (0, 0, 1) in eligible and (0, 1, 0) in eligible and (0, 1, 2) not in eligible
 
 
 def spec_from_constraint(
@@ -223,15 +171,11 @@ def spec_from_constraint(
 ) -> RelationSpec:
     """RelationSpec of a catalog constraint, positions numbered by the
     declaration order of its scope set."""
-    scope = c.scope_set
-    if len(scope) > arity_cap:
+    if c.arity > arity_cap:
         raise ResourceLimitError(
-            f"arity {len(scope)} exceeds the enumeration cap {arity_cap}"
+            f"arity {c.arity} exceeds the enumeration cap {arity_cap}"
         )
-    eligible = set()
-    for code in growth_strings(len(scope)):
-        if eligible_partition(c, dict(zip(scope, code))):
-            eligible.add(_pattern(code))
+    eligible = enumerate_eligible_partitions(c)
     if not eligible:
         raise DomainError("constraint is unsatisfiable; no eligible partition")
-    return RelationSpec(len(scope), frozenset(eligible))
+    return RelationSpec(c.arity, frozenset(eligible))

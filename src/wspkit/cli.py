@@ -81,10 +81,9 @@ def cmd_kernelize(args) -> int:
 def _spec_from_args(args) -> cls.RelationSpec:
     if args.spec:
         return formats.parse_relation_spec(_read(args.spec))
-    tokens = [args.kind]
-    if args.params:
-        tokens.extend(args.params.split(","))
     arity = args.arity
+    if arity < 1:
+        raise WspError(f"--arity must be at least 1, got {arity}")
     names = [str(i) for i in range(1, arity + 1)]
     kind = args.kind
     if kind in ("eq", "neq"):
@@ -99,8 +98,10 @@ def _spec_from_args(args) -> cls.RelationSpec:
     elif kind in ("atmost", "atleast"):
         tokens = [kind, args.params or "2", "{%s}" % ",".join(names)]
     elif kind == "peruser":
-        lo, hi = (args.params or "1,2").split(",")
-        tokens = [kind, lo, hi, "{%s}" % ",".join(names)]
+        bounds = (args.params or "1,2").split(",")
+        if len(bounds) != 2:
+            raise WspError(f"peruser takes --params LOW,HIGH, got {args.params!r}")
+        tokens = [kind, *bounds, "{%s}" % ",".join(names)]
     else:
         raise WspError(f"unknown kind {kind!r}")
     constraint = parse_constraint_line(tokens)
@@ -113,9 +114,8 @@ def cmd_classify(args) -> int:
     reg = cls.is_regular(spec)
     print(f"regular: {'yes' if reg.regular else 'no'}")
     if not reg.regular:
-        blocks = sorted(sorted(b) for b in reg.counterexample)
         print("  counterexample partition: "
-              + "|".join("{%s}" % ",".join(map(str, b)) for b in blocks))
+              + formats.format_partition(reg.counterexample))
     else:
         closed = cls.is_intersection_closed(spec)
         print(f"intersection-closed: {'yes' if closed.intersection_closed else 'no'}")

@@ -6,7 +6,8 @@ intersection-closed kinds. A partition is a labelling of the scope: any
 mapping from scope tasks to hashable block labels (such as a plan or a
 growth-string dict), where tasks sharing a label share a block and tasks
 outside the scope are ignored. Partition eligibility is defined once, over
-such labellings. Set eligibility is closed-form per kind; the closed forms
+such labellings; the enumerations return growth strings over the scope
+set. Set eligibility is closed-form per kind; the closed forms
 are verified against partition enumeration in the test suite, and
 enumeration semantics is authoritative where the two could diverge
 (notably two-set kinds with overlapping sides).
@@ -29,7 +30,7 @@ from wspkit.core import (
     ConstraintInstance,
 )
 from wspkit.errors import ContractError, DeadEndError, DomainError
-from wspkit.partitions import set_partitions
+from wspkit.partitions import blocks, growth_strings
 
 
 def _block_count_feasible(n: int, t_low: int, t_high: int) -> bool:
@@ -207,24 +208,23 @@ def required_additions(
     return frozenset(current) - block
 
 
-def enumerate_eligible_partitions(
-    c: ConstraintInstance,
-) -> tuple[frozenset[frozenset[str]], ...]:
-    """All eligible partitions of the scope, each a frozenset of blocks,
-    by exhaustive enumeration in growth-string order."""
-    out = []
-    for blocks in set_partitions(c.scope_set):
-        label = {t: i for i, b in enumerate(blocks) for t in b}
-        if eligible_partition(c, label):
-            out.append(frozenset(frozenset(b) for b in blocks))
-    return tuple(out)
+def enumerate_eligible_partitions(c: ConstraintInstance) -> tuple[tuple[int, ...], ...]:
+    """All eligible partitions of the scope set, each a growth string over
+    ``c.scope_set``, by exhaustive enumeration in lexicographic order."""
+    scope = c.scope_set
+    return tuple(
+        code
+        for code in growth_strings(len(scope))
+        if eligible_partition(c, dict(zip(scope, code)))
+    )
 
 
 def enumerate_eligible_sets(c: ConstraintInstance) -> frozenset[frozenset[str]]:
     """Ground-truth eligible-set family from partition enumeration."""
+    scope = c.scope_set
     out: set[frozenset[str]] = {frozenset()}
-    for p in enumerate_eligible_partitions(c):
-        out.update(p)
+    for code in enumerate_eligible_partitions(c):
+        out.update(frozenset(scope[i] for i in b) for b in blocks(code))
     return frozenset(out)
 
 

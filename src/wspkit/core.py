@@ -173,10 +173,6 @@ class Plan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.assignment)
-
     def __getitem__(self, task: str) -> str:
         return self.assignment[task]
 

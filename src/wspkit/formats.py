@@ -25,9 +25,10 @@ from wspkit.core import (
     per_user,
     separation,
 )
-from wspkit.classify import RelationSpec, _canon
+from wspkit.classify import RelationSpec
 from wspkit.errors import DomainError, ParseError
 from wspkit.kernel import KernelResult
+from wspkit.partitions import blocks, growth_string
 from wspkit.reductions import CnfFormula, MchsInstance
 
 _SET_RE = re.compile(r"\{([^{}]*)\}")
@@ -88,14 +89,20 @@ def parse_instance(text: str) -> WorkflowSchema:
     constraints: list[ConstraintInstance] = []
     for line in _content_lines(text):
         if line.startswith("tasks:"):
+            if tasks is not None:
+                raise ParseError("repeated tasks: line")
             tasks = tuple(line.split(":", 1)[1].split())
         elif line.startswith("users:"):
+            if users is not None:
+                raise ParseError("repeated users: line")
             users = tuple(line.split(":", 1)[1].split())
         elif line.startswith("auth "):
             head, _, tail = line.partition(":")
             parts = head.split()
             if len(parts) != 2:
                 raise ParseError(f"bad auth line: {line!r}")
+            if parts[1] in auth:
+                raise ParseError(f"repeated auth line for task {parts[1]}")
             auth[parts[1]] = frozenset(tail.split())
         elif line.startswith("constraint "):
             constraints.append(parse_constraint_line(line.split()[1:]))
@@ -164,26 +171,40 @@ def parse_relation_spec(text: str) -> RelationSpec:
         raise ParseError(f"bad arity line: {lines[0]!r}") from exc
     eligible = []
     for line in lines[1:]:
-        blocks = []
-        for token in line.split("|"):
+        # label[i]: the block holding position i + 1
+        label: list[int | None] = [None] * arity
+        for which, token in enumerate(line.split("|")):
             try:
-                blocks.append(frozenset(int(x) for x in _parse_set(token.strip())))
+                positions = [int(x) for x in _parse_set(token.strip())]
             except ValueError as exc:
                 raise ParseError(f"bad position in partition line: {line!r}") from exc
-        eligible.append(_canon(blocks))
+            for p in positions:
+                if not 1 <= p <= arity:
+                    raise ParseError(f"position {p} outside 1..{arity} in {line!r}")
+                if label[p - 1] is not None:
+                    raise ParseError(f"position {p} in two blocks of {line!r}")
+                label[p - 1] = which
+        missing = [i + 1 for i, which in enumerate(label) if which is None]
+        if missing:
+            raise ParseError(f"positions {missing} missing from {line!r}")
+        eligible.append(growth_string(label))
     try:
         return RelationSpec(arity, frozenset(eligible))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 
 
+def format_partition(code: Sequence[int]) -> str:
+    """A growth string over positions 1..r as blocks, e.g. ``{1,2}|{3}``,
+    each block sorted and blocks in order of their smallest position."""
+    return "|".join(
+        "{%s}" % ",".join(str(i + 1) for i in b) for b in blocks(code)
+    )
+
+
 def serialize_relation_spec(spec: RelationSpec) -> str:
     lines = [f"arity {spec.arity}"]
-    rendered = []
-    for part in spec.eligible_partitions:
-        blocks = sorted(sorted(b) for b in part)
-        rendered.append("|".join("{%s}" % ",".join(map(str, b)) for b in blocks))
-    lines.extend(sorted(rendered))
+    lines.extend(sorted(format_partition(code) for code in spec.eligible_partitions))
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,13 @@
-"""Set partition enumeration via restricted growth strings."""
+"""Set partitions as restricted growth strings.
+
+A partition of n positions is encoded by its restricted growth string:
+position i holds the index of its block, blocks numbered in order of
+their first position. This is the only partition encoding in wspkit.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Hashable, Iterator, Sequence
 
 
 def growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -37,17 +40,19 @@ def growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             b[j] = cap
 
 
-def set_partitions(items: Sequence[T]) -> Iterator[tuple[tuple[T, ...], ...]]:
-    """Yield all partitions of items, blocks ordered by first occurrence.
+def growth_string(labels: Sequence[Hashable]) -> tuple[int, ...]:
+    """The restricted growth string of a labelling: each label becomes the
+    number of distinct labels seen before its first occurrence."""
+    names: dict[Hashable, int] = {}
+    return tuple(names.setdefault(x, len(names)) for x in labels)
 
-    Enumeration order is the lexicographic order of the underlying
-    restricted growth strings, which makes the order deterministic and
-    canonical for a given item sequence.
-    """
-    items = list(items)
-    for code in growth_strings(len(items)):
-        nblocks = max(code, default=-1) + 1
-        blocks: list[list[T]] = [[] for _ in range(nblocks)]
-        for item, which in zip(items, code):
-            blocks[which].append(item)
-        yield tuple(tuple(b) for b in blocks)
+
+def blocks(code: Sequence[int]) -> list[list[int]]:
+    """The blocks of a growth string as lists of positions (0-based), in
+    order of each block's first position."""
+    out: list[list[int]] = []
+    for i, which in enumerate(code):
+        if which == len(out):
+            out.append([])
+        out[which].append(i)
+    return out

@@ -28,7 +28,8 @@ DEFAULT_PLAN_CAP = 10**7
 
 @dataclass
 class SolveStats:
-    # solve_fpt: search nodes, each the placement of a task in a block
+    # Counters of solve_fpt; solve_bruteforce leaves them at zero.
+    # partitions_examined: search nodes, each the placement of a task in a block
     partitions_examined: int = 0
     matchings_attempted: int = 0
 
@@ -179,48 +180,55 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     are pruned once an authorization or a fully-assigned constraint fails;
     pruning never skips a valid plan, so the first plan found equals the
     first valid plan in the full lexicographic enumeration. plan_cap bounds
-    the number of search nodes visited, not the raw plan space.
+    the number of search nodes visited (authorized users tried), not the
+    raw plan space. The search keeps its own stack, so any number of tasks
+    fits.
     """
-    k = len(schema.tasks)
+    tasks, users = schema.tasks, schema.users
+    k = len(tasks)
     by_depth = _constraints_by_depth(schema)
-    stats = SolveStats()
     found: list[Plan] = []
     assignment: dict[str, str] = {}
+    # next_user[d]: index of the next user to try for the task at depth d
+    next_user = [0] * (k + 1)
     nodes = 0
-
-    def recurse(depth: int) -> bool:
-        nonlocal nodes
+    depth = 0
+    while depth >= 0:
         if depth == k:
             found.append(Plan(dict(assignment)))
-            return stop_at_first
-        t = schema.tasks[depth]
-        for u in schema.users:
-            if u not in schema.auth[t]:
-                continue
-            nodes += 1
-            if nodes > plan_cap:
-                raise _budget_exhausted(plan_cap)
-            assignment[t] = u
-            # scopes at this depth are fully assigned by construction
-            if all(eligible_partition(c, assignment) for c in by_depth[depth]):
-                if recurse(depth + 1):
-                    del assignment[t]
-                    return True
-            del assignment[t]
-        return False
-
-    recurse(0)
-    return found, stats
+            if stop_at_first:
+                break
+            depth -= 1
+            continue
+        t = tasks[depth]
+        auth = schema.auth[t]
+        i = next_user[depth]
+        while i < len(users) and users[i] not in auth:
+            i += 1
+        if i == len(users):
+            assignment.pop(t, None)
+            depth -= 1
+            continue
+        next_user[depth] = i + 1
+        nodes += 1
+        if nodes > plan_cap:
+            raise _budget_exhausted(plan_cap)
+        assignment[t] = users[i]
+        # scopes at this depth are fully assigned by construction
+        if all(eligible_partition(c, assignment) for c in by_depth[depth]):
+            depth += 1
+            next_user[depth] = 0
+    return found
 
 
 def solve_bruteforce(
     schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
 ) -> SolveOutcome:
     """Independent oracle: first valid plan in lexicographic order, if any."""
-    found, stats = _dfs_plans(schema, plan_cap, stop_at_first=True)
+    found = _dfs_plans(schema, plan_cap, stop_at_first=True)
     if found:
-        return SolveOutcome(SATISFIABLE, found[0], stats)
-    return SolveOutcome(UNSATISFIABLE, None, stats)
+        return SolveOutcome(SATISFIABLE, found[0])
+    return SolveOutcome(UNSATISFIABLE)
 
 
 def project(
@@ -237,7 +245,7 @@ def project(
     unknown = tasks - set(schema.tasks)
     if unknown:
         raise DomainError(f"projection onto unknown tasks: {sorted(unknown)}")
-    found, _ = _dfs_plans(schema, plan_cap, stop_at_first=False)
+    found = _dfs_plans(schema, plan_cap, stop_at_first=False)
     ordered = schema.sort_tasks(tasks)
     seen: dict[tuple[str, ...], Plan] = {}
     for plan in found:

@@ -21,12 +21,9 @@ from wspkit.core import (
     separation,
 )
 from wspkit.errors import ClassificationError, DomainError
+from wspkit.partitions import growth_string
 
 NAMES = ("a", "b", "c", "d", "e", "f")
-
-
-def canon(*blocks):
-    return frozenset(frozenset(b) for b in blocks)
 
 
 class TestUserIndependence:
@@ -34,7 +31,7 @@ class TestUserIndependence:
         table = TupleTable(2, 4, frozenset((x, x) for x in range(1, 5)))
         result = is_user_independent(table)
         assert result.user_independent
-        assert result.spec.eligible_partitions == frozenset({canon({1, 2})})
+        assert result.spec.eligible_partitions == frozenset({(0, 0)})
 
     def test_single_tuple_not_independent(self):
         result = is_user_independent(TupleTable(2, 4, frozenset({(1, 2)})))
@@ -70,7 +67,7 @@ class TestEligibleSets:
         }
 
     def test_single_eligible_partition(self):
-        spec = RelationSpec(3, frozenset({canon({1, 2, 3})}))
+        spec = RelationSpec(3, frozenset({(0, 0, 0)}))
         assert eligible_sets(spec) == {frozenset(), frozenset({1, 2, 3})}
 
 
@@ -85,7 +82,7 @@ class TestRegularity:
         spec = spec_from_constraint(binding(("a", "b"), ("c", "d")))
         result = is_regular(spec)
         assert not result.regular
-        assert result.counterexample == canon({1}, {2}, {3}, {4})
+        assert result.counterexample == (0, 1, 2, 3)
 
     def test_atleast_three_of_four_not_regular(self):
         spec = spec_from_constraint(at_least(3, NAMES[:4]))
@@ -131,11 +128,9 @@ class TestTernaryCondition:
         padded = RelationSpec(
             3,
             frozenset(
-                p
-                for p in spec_from_constraint(per_user(1, 3, "abc")).eligible_partitions
-                if spec.is_eligible(
-                    frozenset(b & {1, 2} for b in p if b & {1, 2})
-                )
+                code
+                for code in spec_from_constraint(per_user(1, 3, "abc")).eligible_partitions
+                if growth_string(code[:2]) in spec.eligible_partitions
             ),
         )
         assert not matches_ternary_condition(padded)
@@ -149,7 +144,12 @@ class TestTernaryCondition:
 class TestSpecValidation:
     def test_rejects_non_partition(self):
         with pytest.raises(DomainError):
-            RelationSpec(3, frozenset({canon({1, 2})}))
+            RelationSpec(3, frozenset({(0, 0)}))
+
+    @pytest.mark.parametrize("code", [(1, 0, 0), (0, 2, 1), (0, 0, 0, 0)])
+    def test_rejects_non_growth_string(self, code):
+        with pytest.raises(DomainError):
+            RelationSpec(3, frozenset({code}))
 
     def test_rejects_empty_family(self):
         with pytest.raises(DomainError):

@@ -63,6 +63,20 @@ class TestSolve:
 
 
     @pytest.mark.parametrize("engine", ["fpt", "brute"])
+    def test_many_tasks_without_constraints(self, tmp_path, capsys, engine):
+        k = 1500
+        tasks = [f"t{i}" for i in range(k)]
+        lines = ["tasks: " + " ".join(tasks), "users: u1 u2"]
+        lines += [f"auth {t}: u1 u2" for t in tasks]
+        path = tmp_path / "wide.wsp"
+        path.write_text("\n".join(lines) + "\n")
+        plan = tmp_path / "plan.txt"
+        assert main(["solve", str(path), "--engine", engine,
+                     "--plan-out", str(plan)]) == 0
+        assert "status: satisfiable" in capsys.readouterr().out
+        assert plan.read_text() == "".join(f"{t} u1\n" for t in tasks)
+
+    @pytest.mark.parametrize("engine", ["fpt", "brute"])
     def test_node_budget(self, wstar_file, capsys, engine):
         assert main(["solve", wstar_file, "--engine", engine,
                      "--plan-cap", "1"]) == 2
@@ -199,6 +213,31 @@ class TestClassify:
         assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [
+        "{1,2}|{2,3}", "{1}|{1,2}|{3}", "{1,2}", "{1}|{3}", "{1,2,3}|{4}",
+    ], ids=["overlap", "repeat", "missing", "gap", "out-of-range"])
+    def test_spec_positions_not_a_partition(self, tmp_path, capsys, line):
+        path = tmp_path / "rel.spec"
+        path.write_text(f"arity 3\n{{1,2,3}}\n{line}\n")
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "peruser", "--params", "3"],
+        ["--kind", "peruser", "--params", "1,2,3"],
+        ["--kind", "eq", "--arity", "0"],
+        ["--kind", "atmost", "--arity", "-1"],
+    ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative"])
+    def test_bad_arguments(self, capsys, args):
+        assert main(["classify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestReduce:

@@ -26,7 +26,7 @@ from wspkit.core import (
     separation,
 )
 from wspkit.errors import ContractError, DeadEndError, DomainError
-from wspkit.partitions import growth_strings
+from wspkit.partitions import blocks as code_blocks, growth_strings
 
 NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -165,11 +165,10 @@ class TestClosedFormsAgainstEnumeration:
     )
     def test_regular_kinds_decompose_blockwise(self, c):
         truth = enumerate_eligible_sets(c)
-        from wspkit.partitions import set_partitions
-
-        for raw in set_partitions(c.scope_set):
-            assert eligible_partition(c, blocks(*raw)) == all(
-                frozenset(b) in truth for b in raw
+        scope = c.scope_set
+        for code in growth_strings(len(scope)):
+            assert eligible_partition(c, dict(zip(scope, code))) == all(
+                frozenset(scope[i] for i in b) in truth for b in code_blocks(code)
             )
 
 
@@ -273,9 +272,10 @@ def test_peruser_set_and_partition_consistency(t_low, extra, size, data):
     c = per_user(t_low, t_low + extra, NAMES[:size])
     parts = enumerate_eligible_partitions(c)
     family = enumerate_eligible_sets(c)
-    for p in parts:
-        for b in p:
-            assert b in family
+    scope = c.scope_set
+    for code in parts:
+        for b in code_blocks(code):
+            assert frozenset(scope[i] for i in b) in family
     if parts:
         chosen = data.draw(st.sampled_from(parts))
-        assert eligible_partition(c, blocks(*chosen))
+        assert eligible_partition(c, dict(zip(scope, chosen)))

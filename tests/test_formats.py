@@ -50,6 +50,15 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             formats.parse_instance("tasks: a\nauth a: u\n")
 
+    @pytest.mark.parametrize("text,match", [
+        ("tasks: a b\ntasks: a\nusers: u\n", "repeated tasks"),
+        ("tasks: a\nusers: u v\nusers: u\n", "repeated users"),
+        ("tasks: a\nusers: u v\nauth a: u\nauth a: v\n", "repeated auth line for task a"),
+    ], ids=["tasks", "users", "auth"])
+    def test_repeated_lines_rejected(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            formats.parse_instance(text)
+
     def test_unknown_constraint_kind(self):
         with pytest.raises(ParseError):
             formats.parse_instance(
@@ -142,6 +151,26 @@ class TestRelationSpecFormat:
     def test_non_integer_position(self):
         with pytest.raises(ParseError, match="x"):
             formats.parse_relation_spec("arity 2\n{1,x}\n")
+
+    @pytest.mark.parametrize("line", ["{1,2}|{2,3}", "{1}|{1}|{2,3}"])
+    def test_overlapping_positions(self, line):
+        with pytest.raises(ParseError, match="two blocks"):
+            formats.parse_relation_spec(f"arity 3\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["{1,2}", "{1}|{3}"])
+    def test_missing_positions(self, line):
+        with pytest.raises(ParseError, match="missing"):
+            formats.parse_relation_spec(f"arity 3\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["{0}|{1,2,3}", "{1,2,3}|{4}"])
+    def test_position_out_of_range(self, line):
+        with pytest.raises(ParseError, match="outside"):
+            formats.parse_relation_spec(f"arity 3\n{line}\n")
+
+    def test_blocks_in_any_order(self):
+        spec = formats.parse_relation_spec("arity 3\n{3}|{2,1}\n")
+        assert spec.eligible_partitions == {(0, 0, 1)}
+        assert formats.serialize_relation_spec(spec) == "arity 3\n{1,2}|{3}\n"
 
 
 class TestMchsFormat:

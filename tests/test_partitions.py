@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wspkit.partitions import growth_strings, set_partitions
+from wspkit.partitions import blocks, growth_string, growth_strings
 
 # Bell numbers: the number of set partitions of an n-element set
 BELL = (1, 1, 2, 5, 15, 52, 203, 877)
@@ -23,15 +23,30 @@ def test_growth_strings_count_and_order(n):
             top = max(top, x)
 
 
-@given(n=st.integers(1, 6))
-def test_set_partitions_are_partitions(n):
-    items = [f"x{i}" for i in range(n)]
+@given(n=st.integers(0, 6))
+def test_blocks_and_growth_string(n):
     seen = set()
-    for blocks in set_partitions(items):
-        flat = [x for b in blocks for x in b]
-        assert sorted(flat) == sorted(items)
-        assert all(b for b in blocks)
-        key = frozenset(frozenset(b) for b in blocks)
-        assert key not in seen
-        seen.add(key)
+    for code in growth_strings(n):
+        parts = blocks(code)
+        # the blocks partition range(n), ordered by their first position
+        assert sorted(i for b in parts for i in b) == list(range(n))
+        assert all(b == sorted(b) for b in parts)
+        assert [b[0] for b in parts] == sorted(b[0] for b in parts)
+        assert all(code[i] == which for which, b in enumerate(parts) for i in b)
+        # a growth string is a fixed point, and any injective relabelling
+        # of it has the same growth string
+        assert growth_string(code) == code
+        relabelled = [f"u{7 * (n - x)}" for x in code]
+        assert growth_string(relabelled) == code
+        seen.add(frozenset(frozenset(b) for b in parts))
     assert len(seen) == BELL[n]
+
+
+@given(labels=st.lists(st.integers(-3, 3), max_size=8))
+def test_growth_string_of_any_labelling(labels):
+    code = growth_string(labels)
+    assert growth_string(code) == code
+    # positions share a block iff they share a label
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            assert (code[i] == code[j]) == (x == y)

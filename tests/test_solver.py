@@ -176,6 +176,15 @@ class TestSolveBruteforce:
         with pytest.raises(ResourceLimitError):
             solve_bruteforce(wstar, plan_cap=2)
 
+    def test_many_tasks(self):
+        # one search level per task: the search keeps its own stack
+        k = 3000
+        tasks = tuple(f"t{i}" for i in range(k))
+        schema = WorkflowSchema(tasks, ("u1", "u2"), {t: {"u2"} for t in tasks})
+        outcome = solve_bruteforce(schema)
+        assert outcome.satisfiable
+        assert dict(outcome.plan.items()) == {t: "u2" for t in tasks}
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(40))
