@@ -81,15 +81,19 @@ def cmd_kernelize(args) -> int:
 def _spec_from_args(args) -> cls.RelationSpec:
     if args.spec:
         return formats.parse_relation_spec(_read(args.spec))
-    arity = args.arity
+    kind = args.kind
+    arity = (2 if kind in ("eq", "neq") else 3) if args.arity is None else args.arity
     if arity < 1:
         raise WspError(f"--arity must be at least 1, got {arity}")
     names = [str(i) for i in range(1, arity + 1)]
-    kind = args.kind
     if kind in ("eq", "neq"):
-        tokens = [kind, names[0], names[1] if arity >= 2 else names[0]]
+        if arity != 2:
+            raise WspError(f"{kind} has arity 2, got --arity {arity}")
+        tokens = [kind, *names]
     elif kind in ("bind", "sep"):
         split = args.split
+        if not 1 <= split < arity:
+            raise WspError(f"--split must lie in 1..{arity - 1}, got {split}")
         tokens = [kind,
                   "{%s}" % ",".join(names[:split]),
                   "{%s}" % ",".join(names[split:])]
@@ -208,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", nargs="?", help="relation spec file")
     p.add_argument("--kind", help="catalog kind instead of a spec file")
     p.add_argument("--params", help="comma-separated integer parameters")
-    p.add_argument("--arity", type=int, default=3)
+    p.add_argument("--arity", type=int, help="default 2 for eq/neq, else 3")
     p.add_argument("--split", type=int, default=1,
                    help="left set size for bind/sep instantiation")
     p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP)

@@ -1,8 +1,8 @@
 """Eligibility interface for the constraint catalog.
 
 Each kind supports the well-behaved operations: partition eligibility,
-set eligibility, finding an eligible superset, and required additions for
-intersection-closed kinds. A partition is a labelling of the scope: any
+set eligibility, and required additions (the closure of an ineligible set)
+for intersection-closed kinds. A partition is a labelling of the scope: any
 mapping from scope tasks to hashable block labels (such as a plan or a
 growth-string dict), where tasks sharing a label share a block and tasks
 outside the scope are ignored. Partition eligibility is defined once, over
@@ -40,10 +40,6 @@ def _block_count_feasible(n: int, t_low: int, t_high: int) -> bool:
     # some b >= 1 blocks with b*t_low <= n <= b*t_high
     b_min = -(-n // t_high)
     return b_min * t_low <= n
-
-
-def _weight(mult: Counter, block) -> int:
-    return sum(mult[t] for t in block)
 
 
 def _weighted_feasible(
@@ -158,31 +154,30 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
         return 1 + (r - len(block)) >= c.params[0]
     t_low, t_high = c.params
     mult = Counter(c.scope)
-    if not t_low <= _weight(mult, block) <= t_high:
+    if not t_low <= sum(mult[t] for t in block) <= t_high:
         return False
     rest = tuple(mult[t] for t in mult if t not in block)
     return _weighted_feasible(rest, t_low, t_high)
 
 
-def eligible_superset(
-    c: ConstraintInstance, tasks: Iterable[str]
-) -> Optional[frozenset[str]]:
-    """Smallest eligible strict superset of an ineligible set, or None.
+def _exhaustive(c: ConstraintInstance) -> bool:
+    """Whether c is the one closed kind without a closed form: a ``peruser``
+    with t_low >= 2, a repeated task, and room for two blocks."""
+    if c.kind != PERUSER:
+        return False
+    repeated = len(c.scope_set) < len(c.scope)
+    return repeated and 2 <= c.params[0] and 2 * c.params[0] <= len(c.scope)
 
-    Candidates are searched by size, ties broken lexicographically by
-    declaration order within the scope, so the result is deterministic.
-    """
-    block = frozenset(tasks)
-    if eligible_set(c, block):
-        raise ContractError("eligible_superset called on an eligible set")
-    scope = c.scope_set
-    pool = [t for t in scope if t not in block]
-    for extra in range(1, len(pool) + 1):
-        for combo in combinations(pool, extra):
-            candidate = block | frozenset(combo)
+
+def _eligible_supersets(c: ConstraintInstance, block: frozenset[str]):
+    """Every eligible superset of block, by exhaustive search over the
+    distinct scope tasks outside it."""
+    pool = [t for t in c.scope_set if t not in block]
+    for size in range(len(pool) + 1):
+        for extra in combinations(pool, size):
+            candidate = block.union(extra)
             if eligible_set(c, candidate):
-                return candidate
-    return None
+                yield candidate
 
 
 def required_additions(
@@ -190,22 +185,24 @@ def required_additions(
 ) -> frozenset[str]:
     """Tasks every eligible superset of an ineligible set must contain.
 
-    Takes a minimal eligible superset of the given set (greedy removal in
-    reverse declaration order) and returns the added tasks. For an
-    intersection-closed constraint every returned task lies in all eligible
-    supersets. Raises DeadEndError if no eligible superset exists.
+    Precondition: the constraint is regular and intersection-closed (the
+    kernel's kind check), so the eligible supersets of the set have a least
+    member, its closure. Every such kind but one has eligible sets closed
+    under subsets or only the empty set and the scope, so the closure is
+    the scope; the exception intersects its enumerated supersets. Raises
+    ContractError on an eligible set, DeadEndError if none is a superset.
     """
     block = frozenset(tasks)
-    superset = eligible_superset(c, block)
-    if superset is None:
+    if eligible_set(c, block):
+        raise ContractError("required_additions called on an eligible set")
+    if _exhaustive(c):
+        supersets = list(_eligible_supersets(c, block))
+    else:
+        scope = frozenset(c.scope_set)
+        supersets = [scope] if eligible_set(c, scope) else []
+    if not supersets:
         raise DeadEndError("ineligible set has no eligible superset")
-    order = {t: i for i, t in enumerate(c.scope_set)}
-    current = set(superset)
-    for t in sorted(superset - block, key=lambda t: order[t], reverse=True):
-        trimmed = current - {t}
-        if trimmed > block and eligible_set(c, trimmed):
-            current = trimmed
-    return frozenset(current) - block
+    return frozenset.intersection(*supersets) - block
 
 
 def enumerate_eligible_partitions(c: ConstraintInstance) -> tuple[tuple[int, ...], ...]:
@@ -233,7 +230,9 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
 
     intersection_closed is None when the constraint is not regular (the
     notion is defined only for regular constraints). Closed-form for every
-    kind; the test suite checks the answers against enumeration.
+    kind but a repeated-scope ``peruser`` with room for two blocks, whose
+    eligible-set family is enumerated; the test suite checks the answers
+    against partition enumeration.
     """
     r = c.arity
     if c.kind == EQ2 or c.kind == NEQ2:
@@ -262,35 +261,15 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
     t_low, t_high = c.params
     if t_low == 1:
         return True, True
-    mult = Counter(c.scope)
-    if any(m > 1 for m in mult.values()):
+    if _exhaustive(c):
         # Repeated scope tasks weigh blocks unevenly; check closure on the
         # enumerated eligible-set family directly.
-        members = tuple(mult)
-        family = [
-            frozenset(combo)
-            for size in range(len(members) + 1)
-            for combo in combinations(members, size)
-            if eligible_set(c, combo)
-        ]
-        for b1 in family:
-            for b2 in family:
-                if b1 != b2 and (b1 & b2) not in family:
-                    return True, False
-        return True, True
-    # Sizes of eligible sets; closedness depends on sizes only.
-    sizes = [
-        a
-        for a in range(t_low, min(t_high, r) + 1)
-        if _block_count_feasible(r - a, t_low, t_high)
-    ]
-    for a1 in sizes:
-        for a2 in sizes:
-            lo = max(1, a1 + a2 - r)
-            hi = min(a1, a2)
-            if a1 == a2:
-                hi = min(hi, a1 - 1)  # two distinct sets of equal size
-            for i in range(lo, hi + 1):
-                if i not in sizes:
-                    return True, False
-    return True, True
+        family = set(_eligible_supersets(c, frozenset()))
+        return True, all((b1 & b2) in family for b1 in family for b2 in family)
+    # Otherwise closed iff no proper subset of the scope is eligible: given
+    # one, there are two eligible blocks that meet in a single task.
+    n = len(c.scope)
+    return True, not any(
+        _block_count_feasible(n - a, t_low, t_high)
+        for a in range(t_low, min(t_high, n - 1) + 1)
+    )

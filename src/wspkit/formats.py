@@ -214,11 +214,17 @@ def parse_mchs(text: str) -> MchsInstance:
     sets: list[frozenset[str]] = []
     for line in _content_lines(text):
         if line.startswith("vertices:"):
+            if vertices is not None:
+                raise ParseError("repeated vertices: line")
             vertices = tuple(line.split(":", 1)[1].split())
+            if len(set(vertices)) < len(vertices):
+                raise ParseError(f"vertex listed twice: {line!r}")
         elif line.startswith("color "):
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"bad color line: {line!r}")
+            if parts[1] in coloring:
+                raise ParseError(f"repeated color line for vertex {parts[1]}")
             try:
                 coloring[parts[1]] = int(parts[2])
             except ValueError as exc:
@@ -232,6 +238,9 @@ def parse_mchs(text: str) -> MchsInstance:
         raise ParseError("document must declare vertices:")
     if not coloring:
         raise ParseError("document must assign colors")
+    unknown = set(coloring) - set(vertices)
+    if unknown:
+        raise ParseError(f"color lines for unknown vertices: {sorted(unknown)}")
     num_colors = max(coloring.values(), default=0)
     try:
         return MchsInstance(vertices, tuple(sets), num_colors, coloring)
@@ -260,6 +269,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"repeated problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line: {line!r}")

@@ -194,6 +194,13 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "regular: yes" in out and "intersection-closed: yes" in out
 
+    @pytest.mark.parametrize("kind, arity", [
+        ("eq", 2), ("neq", 2), ("atmost", 3), ("sep", 3),
+    ])
+    def test_default_arity(self, capsys, kind, arity):
+        assert main(["classify", "--kind", kind]) == 0
+        assert capsys.readouterr().out.startswith(f"arity: {arity}\n")
+
     def test_two_sided_binding_spec_file(self, tmp_path, capsys):
         from wspkit.classify import spec_from_constraint
         from wspkit.core import binding
@@ -231,7 +238,15 @@ class TestClassify:
         ["--kind", "peruser", "--params", "1,2,3"],
         ["--kind", "eq", "--arity", "0"],
         ["--kind", "atmost", "--arity", "-1"],
-    ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative"])
+        ["--kind", "bind", "--arity", "3", "--split", "-1"],
+        ["--kind", "sep", "--arity", "3", "--split", "0"],
+        ["--kind", "bind", "--arity", "3", "--split", "3"],
+        ["--kind", "sep", "--arity", "1"],
+        ["--kind", "neq", "--arity", "5"],
+        ["--kind", "eq", "--arity", "1"],
+    ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative",
+            "bind-split-negative", "sep-split-0", "bind-split-arity", "sep-arity-1",
+            "neq-arity-5", "eq-arity-1"])
     def test_bad_arguments(self, capsys, args):
         assert main(["classify", *args]) == 2
         captured = capsys.readouterr()
@@ -283,6 +298,26 @@ class TestReduce:
         assert main(["reduce", str(doc), "--from", source]) == 2
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source, text, message", [
+        ("mchs", "vertices: a a b\ncolor a 1\ncolor b 2\nset: a\n",
+         "vertex listed twice: 'vertices: a a b'"),
+        ("mchs", "vertices: a b\nvertices: a\ncolor a 1\ncolor b 2\nset: a\n",
+         "repeated vertices: line"),
+        ("mchs", "vertices: a b\ncolor a 1\ncolor b 2\ncolor b 1\nset: a\n",
+         "repeated color line for vertex b"),
+        ("mchs", "vertices: a b\ncolor a 1\ncolor b 2\ncolor c 2\nset: a\n",
+         "color lines for unknown vertices: ['c']"),
+        ("sat", "p cnf 2 1\np cnf 2 2\n1 0\n2 0\n",
+         "repeated problem line: 'p cnf 2 2'"),
+    ], ids=["vertex-twice", "vertices-line", "color-line", "undeclared", "problem-line"])
+    def test_repeated_lines(self, tmp_path, capsys, source, text, message):
+        doc = tmp_path / "input.txt"
+        doc.write_text(text)
+        assert main(["reduce", str(doc), "--from", source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_clause_count_disagrees(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

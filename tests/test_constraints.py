@@ -1,16 +1,17 @@
 """Eligibility interface: closed forms against enumeration ground truth."""
 
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wspkit import constraints
 from wspkit.constraints import (
     classification,
     eligible_partition,
     eligible_set,
-    eligible_superset,
     enumerate_eligible_partitions,
     enumerate_eligible_sets,
     required_additions,
@@ -88,6 +89,15 @@ WEIGHTED_SCOPES = [
     for t_low in (1, 2)
     for t_high in (t_low, t_low + 1, t_low + 2)
 ] + [at_most(1, ("x", "x", "y"))]
+
+# Repeated-scope peruser constraints with t_low >= 2 and room for two
+# blocks: the one kind whose eligible sets are enumerated.
+ENUMERATED_SCOPES = [
+    per_user(t_low, t_high, tuple(scope))
+    for scope in ("aaabbbccdd", "aabb", "aabbc", "aaabcc", "aaabbbc", "abab")
+    for t_low in range(2, len(scope) // 2 + 1)
+    for t_high in range(t_low, len(scope) + 1)
+]
 
 
 class TestLabelType:
@@ -172,6 +182,22 @@ class TestClosedFormsAgainstEnumeration:
             )
 
 
+@pytest.mark.parametrize(
+    "c", catalog_instances(6) + WEIGHTED_SCOPES + ENUMERATED_SCOPES,
+    ids=lambda c: f"{c.kind}-{c.params}-{c.scope}",
+)
+def test_classification_matches_enumeration(c):
+    family = enumerate_eligible_sets(c)
+    scope = c.scope_set
+    regular = all(
+        eligible_partition(c, dict(zip(scope, code)))
+        == all(frozenset(scope[i] for i in b) in family for b in code_blocks(code))
+        for code in growth_strings(len(scope))
+    )
+    closed = all((a & b) in family for a in family for b in family) if regular else None
+    assert classification(c) == (regular, closed)
+
+
 class TestWeightedScopes:
     """Repeated scope tasks weigh per-user counting by multiplicity."""
 
@@ -210,6 +236,30 @@ class TestWeightedScopes:
                             )
 
 
+def eligible_superset(c, tasks):
+    """Reference: the smallest eligible strict superset of an ineligible
+    set, or None, by trying scope subsets by size (ties broken by
+    declaration order within the scope)."""
+    block = frozenset(tasks)
+    if eligible_set(c, block):
+        raise ContractError("eligible_superset called on an eligible set")
+    pool = [t for t in c.scope_set if t not in block]
+    for extra in range(1, len(pool) + 1):
+        for combo in combinations(pool, extra):
+            candidate = block | frozenset(combo)
+            if eligible_set(c, candidate):
+                return candidate
+    return None
+
+
+def reaches_enumeration(c):
+    """The one closed kind without a closed form: a peruser with t_low >= 2,
+    a repeated scope task, and room for two blocks of weight t_low."""
+    t_low = c.params[0] if c.kind == "peruser" else 0
+    return (t_low >= 2 and len(set(c.scope)) < len(c.scope)
+            and 2 * t_low <= len(c.scope))
+
+
 class TestEligibleSuperset:
     def test_equality_forced_partner(self):
         assert eligible_superset(equality("s", "t"), {"s"}) == {"s", "t"}
@@ -231,34 +281,76 @@ class TestRequiredAdditions:
     def test_equality(self):
         assert required_additions(equality("s", "t"), {"s"}) == {"t"}
 
-    def test_peruser_pads_to_lower_bound(self):
-        c = per_user(2, 4, NAMES[:5])
-        added = required_additions(c, {"a"})
-        assert len(added) == 1 and added < set(NAMES[1:5])
+    def test_peruser_closure_is_scope(self):
+        c = per_user(3, 4, NAMES[:3])
+        assert required_additions(c, {"a"}) == {"b", "c"}
+
+    def test_weighted_peruser_closure(self):
+        # eligible sets: {a}, {b}, {c,d}; c alone weighs 2 < 3
+        c = per_user(3, 4, tuple("aaabbbccdd"))
+        assert required_additions(c, {"c"}) == {"d"}
+        with pytest.raises(DeadEndError):
+            required_additions(c, {"a", "b"})
 
     def test_dead_end_signal(self):
         with pytest.raises(DeadEndError):
             required_additions(disequality("s", "t"), {"s", "t"})
 
+    def test_rejects_eligible_input(self):
+        with pytest.raises(ContractError):
+            required_additions(disequality("a", "b"), {"a"})
+
     @pytest.mark.parametrize(
         "c",
-        [x for x in catalog_instances(6) if classification(x) == (True, True)],
+        [x for x in catalog_instances(6) + WEIGHTED_SCOPES + ENUMERATED_SCOPES
+         if classification(x) == (True, True)],
         ids=lambda c: f"{c.kind}-{c.params}-{c.scope}",
     )
     def test_additions_lie_in_every_eligible_superset(self, c):
         truth = enumerate_eligible_sets(c)
         scope = c.scope_set
-        for size in range(len(scope)):
+        for size in range(len(scope) + 1):
             for combo in combinations(scope, size):
                 base = frozenset(combo)
                 if base in truth:
                     continue
                 supersets = [s for s in truth if base < s]
                 if not supersets:
+                    with pytest.raises(DeadEndError):
+                        required_additions(c, base)
                     continue
-                added = required_additions(c, base)
-                for s in supersets:
-                    assert added <= s
+                closure = base | required_additions(c, base)
+                assert closure == frozenset.intersection(*supersets)
+                # the closure is the least eligible superset
+                assert eligible_superset(c, base) == closure
+
+    def test_only_weighted_peruser_enumerates(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_supersets(c, block):
+            raise Enumerated
+
+        closed = [x for x in catalog_instances(6) + WEIGHTED_SCOPES
+                  + ENUMERATED_SCOPES if classification(x) == (True, True)]
+        assert any(map(reaches_enumeration, closed))
+        monkeypatch.setattr(constraints, "_eligible_supersets", enumerate_supersets)
+        for c in closed:
+            calls = [partial(classification, c)] + [
+                partial(required_additions, c, combo)
+                for size in range(len(c.scope_set) + 1)
+                for combo in combinations(c.scope_set, size)
+                if not eligible_set(c, combo)
+            ]
+            for call in calls:
+                try:
+                    call()
+                    reached = False
+                except DeadEndError:
+                    reached = False
+                except Enumerated:
+                    reached = True
+                assert reached == reaches_enumeration(c), c
 
 
 @settings(max_examples=60, deadline=None)

@@ -203,6 +203,17 @@ class TestMchsFormat:
         with pytest.raises(ParseError, match="color a one"):
             formats.parse_mchs("vertices: a\ncolor a one\nset: a\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("vertices: a b\nvertices: a\ncolor a 1\ncolor b 1\n", "repeated vertices"),
+        ("vertices: a a b\ncolor a 1\ncolor b 1\n", "vertex listed twice"),
+        ("vertices: a b\ncolor a 1\ncolor b 1\ncolor a 2\n",
+         "repeated color line for vertex a"),
+        ("vertices: a\ncolor a 1\ncolor z 1\n", "unknown vertices: \\['z'\\]"),
+    ], ids=["vertices", "vertex", "color", "undeclared"])
+    def test_repeated_and_undeclared_rejected(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            formats.parse_mchs(text)
+
 
 class TestDimacs:
     def test_parse(self):
@@ -234,6 +245,10 @@ class TestDimacs:
     def test_non_integer_clause_count(self):
         with pytest.raises(ParseError, match="p cnf 2 x"):
             formats.parse_dimacs("p cnf 2 x\n1 0\n")
+
+    def test_repeated_problem_line(self):
+        with pytest.raises(ParseError, match="repeated problem line"):
+            formats.parse_dimacs("p cnf 2 1\np cnf 3 2\n1 -2 0\n2 0\n")
 
     @pytest.mark.parametrize("declared", [0, 1, 3])
     def test_clause_count_must_agree(self, declared):

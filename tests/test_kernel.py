@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wspkit import kernel
+from wspkit import constraints, kernel
 from wspkit.constraints import eligible_set, required_additions
 from wspkit.core import (
     Plan,
@@ -616,6 +616,31 @@ def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
     assert len(result.merges) == 400 - 8
     assert not result.unsatisfiable
     assert calls <= 2 * sum(c.arity for c in constraints)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tasks: at_most(1, tasks),
+    lambda tasks: per_user(len(tasks), len(tasks), tasks),
+], ids=["atmost-1", "peruser-k-k"])
+def test_whole_scope_closure_merges_in_polynomial_checks(monkeypatch, make):
+    # Every eligible superset of a singleton is the whole scope. Searching
+    # scope subsets by size would check 2^29 sets before the first merge.
+    tasks = tuple(f"t{i}" for i in range(30))
+    schema = WorkflowSchema(tasks, ("u", "v"), {t: {"u", "v"} for t in tasks},
+                            (make(tasks),))
+    calls = 0
+
+    def counted(c, block):
+        nonlocal calls
+        calls += 1
+        return eligible_set(c, block)
+
+    monkeypatch.setattr(constraints, "eligible_set", counted)
+    monkeypatch.setattr(kernel, "eligible_set", counted)
+    result = kernelize(schema)
+    assert len(result.merge_log) == 29
+    assert result.schema.tasks == ("t0",)
+    assert calls <= 4 * len(tasks)
 
 
 def chained_authorization(k):
