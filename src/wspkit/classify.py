@@ -166,15 +166,19 @@ def matches_ternary_condition(spec: RelationSpec) -> bool:
     return (0, 0, 1) in eligible and (0, 1, 0) in eligible and (0, 1, 2) not in eligible
 
 
+def check_arity(arity: int, arity_cap: int = DEFAULT_ARITY_CAP) -> None:
+    """Refuse an arity past the cap: classifying a relation enumerates all
+    Bell(arity) partitions of its positions."""
+    if arity > arity_cap:
+        raise ResourceLimitError(f"arity {arity} exceeds the enumeration cap {arity_cap}")
+
+
 def spec_from_constraint(
     c: ConstraintInstance, arity_cap: int = DEFAULT_ARITY_CAP
 ) -> RelationSpec:
     """RelationSpec of a catalog constraint, positions numbered by the
     declaration order of its scope set."""
-    if c.arity > arity_cap:
-        raise ResourceLimitError(
-            f"arity {c.arity} exceeds the enumeration cap {arity_cap}"
-        )
+    check_arity(c.arity, arity_cap)
     eligible = enumerate_eligible_partitions(c)
     if not eligible:
         raise DomainError("constraint is unsatisfiable; no eligible partition")

@@ -80,7 +80,9 @@ def cmd_kernelize(args) -> int:
 
 def _spec_from_args(args) -> cls.RelationSpec:
     if args.spec:
-        return formats.parse_relation_spec(_read(args.spec))
+        spec = formats.parse_relation_spec(_read(args.spec))
+        cls.check_arity(spec.arity, args.arity_cap)
+        return spec
     kind = args.kind
     arity = (2 if kind in ("eq", "neq") else 3) if args.arity is None else args.arity
     if arity < 1:
@@ -215,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, help="default 2 for eq/neq, else 3")
     p.add_argument("--split", type=int, default=1,
                    help="left set size for bind/sep instantiation")
-    p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP)
+    p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP,
+                   help="largest arity to classify, for a spec file or --kind "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reduce", help="build a WSP instance from SAT or MCHS")

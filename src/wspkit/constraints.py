@@ -11,6 +11,14 @@ set. Set eligibility is closed-form per kind; the closed forms
 are verified against partition enumeration in the test suite, and
 enumeration semantics is authoritative where the two could diverge
 (notably two-set kinds with overlapping sides).
+
+Only ``peruser`` depends on how often a task repeats in its scope. Tasks of
+equal multiplicity form a class and are interchangeable, so a set is
+modelled by its class counts (how many tasks of each class it takes) and
+its load (the sum of its tasks' multiplicities). Its routines enumerate
+count vectors pruned by load: exponential in the number d of distinct
+multiplicities (d <= sqrt(2 * len(scope))), not in the scope size, since
+grouping weights is bin packing, which is strongly NP-hard.
 """
 
 from __future__ import annotations
@@ -19,75 +27,84 @@ from collections import Counter
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Optional
 
-from wspkit.core import (
-    ATLEAST,
-    ATMOST,
-    BIND,
-    EQ2,
-    NEQ2,
-    PERUSER,
-    SEP,
-    ConstraintInstance,
-)
+from wspkit.core import (ATLEAST, ATMOST, BIND, EQ2, NEQ2, PERUSER, SEP,
+                         ConstraintInstance)
 from wspkit.errors import ContractError, DeadEndError, DomainError
 from wspkit.partitions import blocks, growth_strings
 
 
-def _block_count_feasible(n: int, t_low: int, t_high: int) -> bool:
-    """Can n tasks be split into blocks whose sizes all lie in [t_low, t_high]?"""
-    if n == 0:
-        return True
-    # some b >= 1 blocks with b*t_low <= n <= b*t_high
-    b_min = -(-n // t_high)
-    return b_min * t_low <= n
+# (multiplicity, number of distinct tasks), heaviest first, no empty class
+Classes = tuple[tuple[int, int], ...]
 
 
-def _weighted_feasible(
-    weights: tuple[int, ...], t_low: int, t_high: int
+def _classes(c: ConstraintInstance) -> tuple[Classes, tuple[tuple[str, ...], ...]]:
+    """The classes of c's scope and the tasks of each, in scope order."""
+    mult = Counter(c.scope)
+    members: dict[int, tuple[str, ...]] = {}
+    for t in c.scope_set:
+        members[mult[t]] = members.get(mult[t], ()) + (t,)
+    ordered = sorted(members.items(), reverse=True)
+    return tuple((w, len(ts)) for w, ts in ordered), tuple(ts for _, ts in ordered)
+
+
+def _vectors(classes: Classes, budget: int) -> list[tuple[int, ...]]:
+    """Every count vector of load at most budget, in lexicographic order."""
+    out: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for w, n in classes:
+        out = [(x + (j,), load + j * w) for x, load in out
+               for j in range(min(n, (budget - load) // w) + 1)]
+    return [x for x, _ in out]
+
+
+def _groupable(classes: Classes, t_low: int, t_high: int, memo: dict) -> bool:
+    """Can the tasks of classes be grouped, each group's load in
+    [t_low, t_high]? Tries every group that holds a task of the heaviest
+    class, so it decides each count vector once; memo holds those verdicts
+    and is made afresh by each public call."""
+    if classes not in memo:
+        load = sum(w * n for w, n in classes)
+        if load <= t_high:  # one group, or none
+            ok = load == 0 or load >= t_low
+        elif all(t_low <= w <= t_high for w, _ in classes):  # a group per task
+            ok = True
+        elif len(classes) == 1:  # b >= 1 groups of lo..hi tasks each
+            (w, n), = classes
+            lo, hi = -(-t_low // w), t_high // w
+            ok = lo <= hi and -(-n // hi) * lo <= n
+        else:  # the fewest groups must not outweigh the load
+            w, n = classes[0]
+            ok = -(-load // t_high) * t_low <= load and any(
+                _eligible_counts(classes, (x[0] + 1,) + x[1:], t_low, t_high, memo)
+                for x in _vectors(((w, n - 1),) + classes[1:], t_high - w))
+        memo[classes] = ok
+    return memo[classes]
+
+
+def _eligible_counts(
+    classes: Classes, x: tuple[int, ...], t_low: int, t_high: int, memo: dict
 ) -> bool:
-    """Can a multiset of task weights be grouped with every group sum in
-    [t_low, t_high]? Weights arise from repeated scope tasks after merging."""
-    if all(w == 1 for w in weights):
-        return _block_count_feasible(len(weights), t_low, t_high)
-
-    from functools import lru_cache
-
-    items = tuple(sorted(weights, reverse=True))
-
-    @lru_cache(maxsize=None)
-    def solvable(remaining: tuple[int, ...]) -> bool:
-        if not remaining:
-            return True
-        first, rest = remaining[0], remaining[1:]
-        if first > t_high:
-            return False
-        # choose the group containing the heaviest item
-        for picked in _subsets_with_sum(rest, t_low - first, t_high - first):
-            leftover = list(rest)
-            for w in picked:
-                leftover.remove(w)
-            if solvable(tuple(leftover)):
-                return True
-        return False
-
-    return solvable(items)
+    """Whether a set with count vector x is a block of an eligible grouping:
+    its load lies in [t_low, t_high] and the rest can be grouped."""
+    load = sum(w * j for (w, _), j in zip(classes, x))
+    rest = tuple((w, n - j) for (w, n), j in zip(classes, x) if n > j)
+    return t_low <= load <= t_high and _groupable(rest, t_low, t_high, memo)
 
 
-def _subsets_with_sum(items: tuple[int, ...], lo: int, hi: int):
-    """Sub-multisets of items with total in [max(lo,0), hi], smallest first."""
-    n = len(items)
-    seen = set()
-
-    def rec(i: int, chosen: tuple[int, ...], total: int):
-        if total > hi:
-            return
-        if total >= max(lo, 0) and chosen not in seen:
-            seen.add(chosen)
-            yield chosen
-        for j in range(i, n):
-            yield from rec(j + 1, chosen + (items[j],), total + items[j])
-
-    yield from rec(0, (), 0)
+def _eligible_completions(
+    classes: Classes, x: tuple[int, ...], t_low: int, t_high: int, memo: dict
+) -> list[frozenset[int]]:
+    """The sets of x's incomplete classes whose raising to full count makes
+    x eligible, found among those whose load fits under t_high."""
+    load = sum(w * j for (w, _), j in zip(classes, x))
+    # raising a class is a 0/1 choice weighing its missing load
+    gains = tuple((w * (n - j), 1) if j < n else (w, 0)
+                  for (w, n), j in zip(classes, x))
+    out = []
+    for picked in _vectors(gains, t_high - load):
+        y = tuple(n if p else j for (_, n), j, p in zip(classes, x, picked))
+        if _eligible_counts(classes, y, t_low, t_high, memo):
+            out.append(frozenset(i for i, p in enumerate(picked) if p))
+    return out
 
 
 def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> bool:
@@ -125,7 +142,9 @@ def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> 
 def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
     """Whether the task set occurs as a block of some eligible partition.
 
-    The empty set is eligible by convention.
+    The empty set is eligible by convention. A ``peruser`` set needs a load
+    within the bounds and a grouping of the rest of the scope, decided over
+    class counts in time exponential only in d.
     """
     block = frozenset(tasks)
     scope = frozenset(c.scope_set)
@@ -148,36 +167,16 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
         union = set(c.scope_sets[0]) | set(c.scope_sets[1])
         return len(union) >= 2 and not union <= block
     if c.kind == ATMOST:
-        t = c.params[0]
-        return t >= 2 or block == scope
+        return c.params[0] >= 2 or block == scope
     if c.kind == ATLEAST:
         return 1 + (r - len(block)) >= c.params[0]
     t_low, t_high = c.params
-    mult = Counter(c.scope)
-    if not t_low <= sum(mult[t] for t in block) <= t_high:
-        return False
-    rest = tuple(mult[t] for t in mult if t not in block)
-    return _weighted_feasible(rest, t_low, t_high)
-
-
-def _exhaustive(c: ConstraintInstance) -> bool:
-    """Whether c is the one closed kind without a closed form: a ``peruser``
-    with t_low >= 2, a repeated task, and room for two blocks."""
-    if c.kind != PERUSER:
-        return False
-    repeated = len(c.scope_set) < len(c.scope)
-    return repeated and 2 <= c.params[0] and 2 * c.params[0] <= len(c.scope)
-
-
-def _eligible_supersets(c: ConstraintInstance, block: frozenset[str]):
-    """Every eligible superset of block, by exhaustive search over the
-    distinct scope tasks outside it."""
-    pool = [t for t in c.scope_set if t not in block]
-    for size in range(len(pool) + 1):
-        for extra in combinations(pool, size):
-            candidate = block.union(extra)
-            if eligible_set(c, candidate):
-                yield candidate
+    if len(c.scope) == r:  # no repeated task: one class of unit weight
+        return t_low <= len(block) <= t_high and _groupable(
+            ((1, r - len(block)),), t_low, t_high, {})
+    classes, members = _classes(c)
+    x = tuple(len(block.intersection(ts)) for ts in members)
+    return _eligible_counts(classes, x, t_low, t_high, {})
 
 
 def required_additions(
@@ -187,16 +186,22 @@ def required_additions(
 
     Precondition: the constraint is regular and intersection-closed (the
     kernel's kind check), so the eligible supersets of the set have a least
-    member, its closure. Every such kind but one has eligible sets closed
-    under subsets or only the empty set and the scope, so the closure is
-    the scope; the exception intersects its enumerated supersets. Raises
-    ContractError on an eligible set, DeadEndError if none is a superset.
+    member, its closure. For every kind but ``peruser`` the eligible sets
+    are closed under subsets or are only the empty set and the scope, so
+    the closure is the scope. Permuting a ``peruser`` class outside the set
+    maps the closure to itself, so it is the intersection of the eligible
+    sets among the at most 2^d unions of the set with whole classes (the
+    set and the scope when no task repeats). Raises ContractError on an
+    eligible set, DeadEndError if none is a superset.
     """
     block = frozenset(tasks)
     if eligible_set(c, block):
         raise ContractError("required_additions called on an eligible set")
-    if _exhaustive(c):
-        supersets = list(_eligible_supersets(c, block))
+    if c.kind == PERUSER:
+        classes, members = _classes(c)
+        x = tuple(len(block.intersection(ts)) for ts in members)
+        supersets = [block.union(*(members[i] for i in raised)) for raised
+                     in _eligible_completions(classes, x, *c.params, {})]
     else:
         scope = frozenset(c.scope_set)
         supersets = [scope] if eligible_set(c, scope) else []
@@ -209,11 +214,8 @@ def enumerate_eligible_partitions(c: ConstraintInstance) -> tuple[tuple[int, ...
     """All eligible partitions of the scope set, each a growth string over
     ``c.scope_set``, by exhaustive enumeration in lexicographic order."""
     scope = c.scope_set
-    return tuple(
-        code
-        for code in growth_strings(len(scope))
-        if eligible_partition(c, dict(zip(scope, code)))
-    )
+    return tuple(code for code in growth_strings(len(scope))
+                 if eligible_partition(c, dict(zip(scope, code))))
 
 
 def enumerate_eligible_sets(c: ConstraintInstance) -> frozenset[frozenset[str]]:
@@ -230,46 +232,43 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
 
     intersection_closed is None when the constraint is not regular (the
     notion is defined only for regular constraints). Closed-form for every
-    kind but a repeated-scope ``peruser`` with room for two blocks, whose
-    eligible-set family is enumerated; the test suite checks the answers
-    against partition enumeration.
+    kind but ``peruser`` with t_low >= 2, which is closed iff no nonempty
+    ineligible set z of load <= t_high is the intersection of two eligible
+    sets that are z plus a task of a class z lacks two or more tasks of,
+    the two tasks differing (a swap), or z with two disjoint sets of its
+    incomplete classes raised to full. Without swaps, eligible sets stay
+    eligible as incomplete classes shrink, so two eligible sets meeting in
+    z shrink to two such completions. Tests check against enumeration.
     """
     r = c.arity
-    if c.kind == EQ2 or c.kind == NEQ2:
-        return True, True
-    if c.kind == SEP:
+    if c.kind in (EQ2, NEQ2, SEP):
         return True, True
     if c.kind == BIND:
         left, right = (set(g) for g in c.scope_sets)
-        if left & right:
-            return True, True  # trivially satisfied by any plan
-        if len(left) == 1 and len(right) == 1:
-            return True, True  # plain equality
-        if min(len(left), len(right)) == 1:
-            return True, False
-        return False, None
+        if left & right or len(left) == len(right) == 1:
+            return True, True  # trivially satisfied by any plan, or equality
+        return (True, False) if min(len(left), len(right)) == 1 else (False, None)
     if c.kind == ATMOST:
         t = c.params[0]
-        if t == 1 or t >= r:
-            return True, True
-        return False, None
+        return (True, True) if t == 1 or t >= r else (False, None)
     if c.kind == ATLEAST:
         t = c.params[0]
-        if t <= 2 or t > r or t == r:
-            return True, True
-        return False, None
+        return (True, True) if t <= 2 or t >= r else (False, None)
     t_low, t_high = c.params
     if t_low == 1:
         return True, True
-    if _exhaustive(c):
-        # Repeated scope tasks weigh blocks unevenly; check closure on the
-        # enumerated eligible-set family directly.
-        family = set(_eligible_supersets(c, frozenset()))
-        return True, all((b1 & b2) in family for b1 in family for b2 in family)
-    # Otherwise closed iff no proper subset of the scope is eligible: given
-    # one, there are two eligible blocks that meet in a single task.
-    n = len(c.scope)
-    return True, not any(
-        _block_count_feasible(n - a, t_low, t_high)
-        for a in range(t_low, min(t_high, n - 1) + 1)
-    )
+    classes, _ = _classes(c)
+    memo: dict = {}
+    vectors = _vectors(classes, t_high)
+    eligible = {x for x in vectors
+                if any(x) and _eligible_counts(classes, x, t_low, t_high, memo)}
+    for z in vectors if eligible else ():
+        if not any(z) or z in eligible:
+            continue
+        swaps = (z[:i] + (j + 1,) + z[i + 1:]
+                 for i, ((_, n), j) in enumerate(zip(classes, z)) if j + 1 < n)
+        raised = _eligible_completions(classes, z, t_low, t_high, memo)
+        if not eligible.isdisjoint(swaps) or any(
+                s.isdisjoint(u) for s, u in combinations(raised, 2)):
+            return True, False
+    return True, True

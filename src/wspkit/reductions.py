@@ -230,6 +230,8 @@ def gen_random_instance(
         raise DomainError("instance dimensions must be positive")
     if not kinds:
         raise DomainError("kind mix must be nonempty")
+    if not 0 <= density <= 1:
+        raise DomainError(f"authorization density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     tasks = tuple(f"t{i}" for i in range(1, num_tasks + 1))
     users = tuple(f"u{i}" for i in range(1, num_users + 1))

@@ -233,6 +233,23 @@ class TestClassify:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("cap", [[], ["--arity-cap", "8"]], ids=["default", "explicit"])
+    def test_arity_cap_bounds_spec_files(self, tmp_path, capsys, cap):
+        # Bell(16) is about 10^10 partitions: without the cap this runs for hours
+        path = tmp_path / "rel.spec"
+        path.write_text("arity 16\n{%s}\n" % ",".join(map(str, range(1, 17))))
+        assert main(["classify", str(path), *cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: arity 16 exceeds the enumeration cap 8\n"
+
+    def test_arity_cap_admits_spec_at_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "rel.spec"
+        path.write_text("arity 3\n{1,2,3}\n")
+        assert main(["classify", str(path), "--arity-cap", "3"]) == 0
+        assert main(["classify", str(path), "--arity-cap", "2"]) == 2
+        assert capsys.readouterr().err == "error: arity 3 exceeds the enumeration cap 2\n"
+
     @pytest.mark.parametrize("args", [
         ["--kind", "peruser", "--params", "3"],
         ["--kind", "peruser", "--params", "1,2,3"],
@@ -337,6 +354,16 @@ class TestGenerate:
         assert "seed=7" in text
         schema = formats.parse_instance(text)
         assert len(schema.tasks) == 4 and len(schema.users) == 6
+
+    @pytest.mark.parametrize("density", ["7", "-0.5", "nan"])
+    def test_density_out_of_range(self, tmp_path, capsys, density):
+        out = tmp_path / "gen.wsp"
+        assert main(["generate", "--tasks", "3", "--users", "3", "--constraints", "1",
+                     "--density", density, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        lines = captured.err.splitlines()
+        assert lines == [f"error: authorization density must lie in [0, 1], got {float(density)}"]
 
     def test_deterministic(self, tmp_path):
         args = ["generate", "--tasks", "3", "--users", "3",

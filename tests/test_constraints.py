@@ -1,13 +1,13 @@
 """Eligibility interface: closed forms against enumeration ground truth."""
 
-from functools import partial
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wspkit import constraints
+from wspkit import constraints, kernel
 from wspkit.constraints import (
     classification,
     eligible_partition,
@@ -18,6 +18,7 @@ from wspkit.constraints import (
 )
 from wspkit.core import (
     Plan,
+    WorkflowSchema,
     at_least,
     at_most,
     binding,
@@ -26,7 +27,8 @@ from wspkit.core import (
     per_user,
     separation,
 )
-from wspkit.errors import ContractError, DeadEndError, DomainError
+from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.kernel import kernelize
 from wspkit.partitions import blocks as code_blocks, growth_strings
 
 NAMES = ("a", "b", "c", "d", "e", "f")
@@ -91,10 +93,12 @@ WEIGHTED_SCOPES = [
 ] + [at_most(1, ("x", "x", "y"))]
 
 # Repeated-scope peruser constraints with t_low >= 2 and room for two
-# blocks: the one kind whose eligible sets are enumerated.
+# blocks, over one to three multiplicity classes: the case decided over
+# class-count vectors rather than in closed form.
 ENUMERATED_SCOPES = [
     per_user(t_low, t_high, tuple(scope))
-    for scope in ("aaabbbccdd", "aabb", "aabbc", "aaabcc", "aaabbbc", "abab")
+    for scope in ("aaabbbccdd", "aabb", "aabbc", "aaabcc", "aaabbbc", "abab",
+                  "aaabbc", "aaabbcd")
     for t_low in range(2, len(scope) // 2 + 1)
     for t_high in range(t_low, len(scope) + 1)
 ]
@@ -252,14 +256,6 @@ def eligible_superset(c, tasks):
     return None
 
 
-def reaches_enumeration(c):
-    """The one closed kind without a closed form: a peruser with t_low >= 2,
-    a repeated scope task, and room for two blocks of weight t_low."""
-    t_low = c.params[0] if c.kind == "peruser" else 0
-    return (t_low >= 2 and len(set(c.scope)) < len(c.scope)
-            and 2 * t_low <= len(c.scope))
-
-
 class TestEligibleSuperset:
     def test_equality_forced_partner(self):
         assert eligible_superset(equality("s", "t"), {"s"}) == {"s", "t"}
@@ -324,33 +320,39 @@ class TestRequiredAdditions:
                 # the closure is the least eligible superset
                 assert eligible_superset(c, base) == closure
 
-    def test_only_weighted_peruser_enumerates(self, monkeypatch):
-        class Enumerated(Exception):
-            pass
+    @pytest.mark.parametrize("t_low,t_high", [(2, 3), (21, 41)])
+    def test_repeated_peruser_work_is_polynomial(self, monkeypatch, t_low, t_high):
+        # 40 distinct tasks, one of them repeated. Enumerating the subsets
+        # of the distinct tasks would take 2^40 eligibility checks; peruser
+        # 2 3 is not intersection-closed, while 21 41 is and merges the 40
+        # tasks into one.
+        tasks = tuple(f"t{i}" for i in range(40))
+        c = per_user(t_low, t_high, tasks + tasks[:1])
+        schema = WorkflowSchema(tasks, ("u", "v"), {t: {"u", "v"} for t in tasks},
+                                (c,))
+        calls = Counter()
 
-        def enumerate_supersets(c, block):
-            raise Enumerated
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
 
-        closed = [x for x in catalog_instances(6) + WEIGHTED_SCOPES
-                  + ENUMERATED_SCOPES if classification(x) == (True, True)]
-        assert any(map(reaches_enumeration, closed))
-        monkeypatch.setattr(constraints, "_eligible_supersets", enumerate_supersets)
-        for c in closed:
-            calls = [partial(classification, c)] + [
-                partial(required_additions, c, combo)
-                for size in range(len(c.scope_set) + 1)
-                for combo in combinations(c.scope_set, size)
-                if not eligible_set(c, combo)
-            ]
-            for call in calls:
-                try:
-                    call()
-                    reached = False
-                except DeadEndError:
-                    reached = False
-                except Enumerated:
-                    reached = True
-                assert reached == reaches_enumeration(c), c
+        monkeypatch.setattr(constraints, "_groupable",
+                            counted("groupable", constraints._groupable))
+        counted_set = counted("eligible_set", eligible_set)
+        monkeypatch.setattr(constraints, "eligible_set", counted_set)
+        monkeypatch.setattr(kernel, "eligible_set", counted_set)
+        closed = classification(c) == (True, True)
+        assert closed == (t_low == 21)
+        assert calls["groupable"] <= len(c.scope) ** 2
+        calls.clear()
+        if closed:
+            assert len(kernelize(schema).merge_log) == 39
+        else:
+            with pytest.raises(ClassificationError):
+                kernelize(schema)
+        assert calls["groupable"] + calls["eligible_set"] <= len(c.scope) ** 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,11 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wspkit import constraints, kernel
-from wspkit.constraints import eligible_set, required_additions
+from wspkit.constraints import classification, eligible_set, required_additions
 from wspkit.core import (
     Plan,
     WorkflowSchema,
@@ -237,7 +237,10 @@ class TestKernelize:
 def merged_peruser_schemas(draw):
     """peruser scopes fed by an equality chain, each with a twin that names
     one more chain task: merging the chain turns the twin's extra task into
-    a repeat, so the pair stays distinct only as multisets."""
+    a repeat, so the pair stays distinct only as multisets. Some also hold
+    an intersection-closed peruser with a lower bound of 2 or 3 over a
+    scope that repeats a task, whose closures take whole multiplicity
+    classes."""
     k = draw(st.integers(2, 5))
     tasks = tuple(f"t{i}" for i in range(k))
     users = ("u1", "u2", "u3")[: draw(st.integers(1, 3))]
@@ -249,6 +252,13 @@ def merged_peruser_schemas(draw):
         t_high = draw(st.integers(1, 3))
         constraints.append(per_user(1, t_high, scope))
         constraints.append(per_user(1, t_high, scope + [draw(st.sampled_from(chain))]))
+    if draw(st.booleans()):
+        scope = draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=7))
+        t_low = draw(st.integers(2, 3))
+        c = per_user(t_low, t_low + draw(st.integers(0, 3)),
+                     scope + [draw(st.sampled_from(scope))])
+        assume(classification(c) == (True, True))
+        constraints.append(c)
     return WorkflowSchema(tasks, users, auth, tuple(draw(st.permutations(constraints))))
 
 
