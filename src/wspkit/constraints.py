@@ -24,8 +24,7 @@ grouping weights is bin packing, which is strongly NP-hard.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from wspkit.core import (ATLEAST, ATMOST, BIND, EQ2, NEQ2, PERUSER, SEP,
                          ConstraintInstance)
@@ -47,36 +46,82 @@ def _classes(c: ConstraintInstance) -> tuple[Classes, tuple[tuple[str, ...], ...
     return tuple((w, len(ts)) for w, ts in ordered), tuple(ts for _, ts in ordered)
 
 
-def _vectors(classes: Classes, budget: int) -> list[tuple[int, ...]]:
-    """Every count vector of load at most budget, in lexicographic order."""
-    out: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for w, n in classes:
-        out = [(x + (j,), load + j * w) for x, load in out
-               for j in range(min(n, (budget - load) // w) + 1)]
-    return [x for x, _ in out]
+def _vectors(classes: Classes, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every count vector of load at most budget, lazily in lexicographic
+    order: raise the last coordinate that fits, zeroing those after it."""
+    if budget < 0:
+        return
+    x = [0] * len(classes)
+    load = 0
+    while True:
+        yield tuple(x)
+        for i in reversed(range(len(classes))):
+            w, n = classes[i]
+            if x[i] < n and load + w <= budget:
+                x[i] += 1
+                load += w
+                break
+            load -= x[i] * w
+            x[i] = 0
+        else:
+            return
+
+
+def _closed_form(classes: Classes, t_low: int, t_high: int) -> Optional[bool]:
+    """Whether the tasks of classes can be grouped, each group's load in
+    [t_low, t_high], where a closed form decides it; None otherwise."""
+    load = sum(w * n for w, n in classes)
+    if load <= t_high:  # one group, or none
+        return load == 0 or load >= t_low
+    if all(t_low <= w <= t_high for w, _ in classes):  # a group per task
+        return True
+    if len(classes) == 1:  # b >= 1 groups of lo..hi tasks each
+        (w, n), = classes
+        lo, hi = -(-t_low // w), t_high // w
+        return lo <= hi and -(-n // hi) * lo <= n
+    if -(-load // t_high) * t_low > load:  # the fewest groups outweigh the load
+        return False
+    return None
+
+
+def _rests(classes: Classes, t_low: int, t_high: int) -> Iterator[Classes]:
+    """What each group that holds a task of the heaviest class leaves, for
+    the groups whose load lies in [t_low, t_high]."""
+    w, n = classes[0]
+    for x in _vectors(((w, n - 1),) + classes[1:], t_high - w):
+        x = (x[0] + 1,) + x[1:]
+        if sum(v * j for (v, _), j in zip(classes, x)) >= t_low:
+            yield tuple((v, m - j) for (v, m), j in zip(classes, x) if m > j)
 
 
 def _groupable(classes: Classes, t_low: int, t_high: int, memo: dict) -> bool:
     """Can the tasks of classes be grouped, each group's load in
     [t_low, t_high]? Tries every group that holds a task of the heaviest
     class, so it decides each count vector once; memo holds those verdicts
-    and is made afresh by each public call."""
-    if classes not in memo:
-        load = sum(w * n for w, n in classes)
-        if load <= t_high:  # one group, or none
-            ok = load == 0 or load >= t_low
-        elif all(t_low <= w <= t_high for w, _ in classes):  # a group per task
-            ok = True
-        elif len(classes) == 1:  # b >= 1 groups of lo..hi tasks each
-            (w, n), = classes
-            lo, hi = -(-t_low // w), t_high // w
-            ok = lo <= hi and -(-n // hi) * lo <= n
-        else:  # the fewest groups must not outweigh the load
-            w, n = classes[0]
-            ok = -(-load // t_high) * t_low <= load and any(
-                _eligible_counts(classes, (x[0] + 1,) + x[1:], t_low, t_high, memo)
-                for x in _vectors(((w, n - 1),) + classes[1:], t_high - w))
-        memo[classes] = ok
+    and is made afresh by each public call. Each group lowers the load, so
+    the search runs depth first on its own stack of undecided vectors."""
+    stack: list[tuple[Classes, Iterator[Classes]]] = []
+
+    def decide(x: Classes) -> Optional[bool]:
+        """x's verdict if known or in closed form, else None with x stacked."""
+        if x not in memo:
+            verdict = _closed_form(x, t_low, t_high)
+            if verdict is None:
+                stack.append((x, _rests(x, t_low, t_high)))
+                return None
+            memo[x] = verdict
+        return memo[x]
+
+    decide(classes)
+    while stack:
+        top, rests = stack[-1]
+        verdict = next((v for v in map(decide, rests) if v is not False), False)
+        if verdict is False:
+            memo[top] = False
+            stack.pop()
+        elif verdict:  # a rest groups, so every vector on the stack does
+            memo.update((x, True) for x, _ in stack)
+            stack.clear()
     return memo[classes]
 
 
@@ -92,19 +137,17 @@ def _eligible_counts(
 
 def _eligible_completions(
     classes: Classes, x: tuple[int, ...], t_low: int, t_high: int, memo: dict
-) -> list[frozenset[int]]:
+) -> Iterator[frozenset[int]]:
     """The sets of x's incomplete classes whose raising to full count makes
-    x eligible, found among those whose load fits under t_high."""
+    x eligible, found lazily among those whose load fits under t_high."""
     load = sum(w * j for (w, _), j in zip(classes, x))
     # raising a class is a 0/1 choice weighing its missing load
     gains = tuple((w * (n - j), 1) if j < n else (w, 0)
                   for (w, n), j in zip(classes, x))
-    out = []
     for picked in _vectors(gains, t_high - load):
         y = tuple(n if p else j for (_, n), j, p in zip(classes, x, picked))
         if _eligible_counts(classes, y, t_low, t_high, memo):
-            out.append(frozenset(i for i, p in enumerate(picked) if p))
-    return out
+            yield frozenset(i for i, p in enumerate(picked) if p)
 
 
 def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> bool:
@@ -179,6 +222,39 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
     return _eligible_counts(classes, x, t_low, t_high, {})
 
 
+def ineligible_singletons(c: ConstraintInstance) -> frozenset[str]:
+    """The scope tasks t whose singleton {t} is not an eligible set.
+
+    Mirrors ``eligible_set``'s closed forms on a singleton: the whole scope
+    for ``eq`` over two tasks, ``neq`` and ``sep`` over fewer than two,
+    ``atmost 1`` over two or more, and ``atleast t`` over fewer than t;
+    for a ``bind`` with disjoint sides, the sole task of each one-task
+    side. The singletons of a ``peruser`` class share a count vector, so
+    it makes one ``eligible_set`` check per class (one in all when no task
+    repeats). Every other kind's answer takes O(1) time.
+    """
+    r = len(c.scope_set)
+    if c.kind == EQ2:
+        bad = r == 2
+    elif c.kind in (NEQ2, SEP):
+        bad = r < 2
+    elif c.kind == ATMOST:
+        bad = c.params[0] == 1 and r >= 2
+    elif c.kind == ATLEAST:
+        bad = r < c.params[0]
+    elif c.kind == BIND:
+        left, right = (frozenset(g) for g in c.scope_sets)
+        if left & right:
+            return frozenset()
+        return frozenset(t for side in (left, right) if len(side) == 1 for t in side)
+    elif len(c.scope) == r:
+        bad = not eligible_set(c, c.scope_set[:1])
+    else:
+        return frozenset(t for ts in _classes(c)[1]
+                         if not eligible_set(c, ts[:1]) for t in ts)
+    return frozenset(c.scope_set) if bad else frozenset()
+
+
 def required_additions(
     c: ConstraintInstance, tasks: Iterable[str]
 ) -> frozenset[str]:
@@ -238,7 +314,9 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
     the two tasks differing (a swap), or z with two disjoint sets of its
     incomplete classes raised to full. Without swaps, eligible sets stay
     eligible as incomplete classes shrink, so two eligible sets meeting in
-    z shrink to two such completions. Tests check against enumeration.
+    z shrink to two such completions. Count vectors are generated and
+    decided lazily, so the first witness ends the search. Tests check
+    against enumeration.
     """
     r = c.arity
     if c.kind in (EQ2, NEQ2, SEP):
@@ -259,16 +337,16 @@ def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:
         return True, True
     classes, _ = _classes(c)
     memo: dict = {}
-    vectors = _vectors(classes, t_high)
-    eligible = {x for x in vectors
-                if any(x) and _eligible_counts(classes, x, t_low, t_high, memo)}
-    for z in vectors if eligible else ():
-        if not any(z) or z in eligible:
+    for z in _vectors(classes, t_high):
+        if not any(z) or _eligible_counts(classes, z, t_low, t_high, memo):
             continue
         swaps = (z[:i] + (j + 1,) + z[i + 1:]
                  for i, ((_, n), j) in enumerate(zip(classes, z)) if j + 1 < n)
-        raised = _eligible_completions(classes, z, t_low, t_high, memo)
-        if not eligible.isdisjoint(swaps) or any(
-                s.isdisjoint(u) for s, u in combinations(raised, 2)):
+        if any(_eligible_counts(classes, y, t_low, t_high, memo) for y in swaps):
             return True, False
+        raised: list[frozenset[int]] = []
+        for s in _eligible_completions(classes, z, t_low, t_high, memo):
+            if any(s.isdisjoint(u) for u in raised):
+                return True, False
+            raised.append(s)
     return True, True

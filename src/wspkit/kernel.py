@@ -8,25 +8,30 @@ and a lift operation replays merges to recover plans for the original
 schema.
 
 Equality elimination works from a min-heap of (task, constraint) pairs
-ordered by declaration index. A merge rewrites only the constraints that
-name the absorbed task and queues their pairs again; every other pair
-keeps its verdict. So each merge happens at the first ineligible pair in
-declaration order, exactly where a rescan of the whole schema would find
-it, and the merge log is that of the rescan. The work is the total scope
-size plus the rewritten scopes, not a rescan per merge. Marking makes one
+ordered by declaration index. It queues only pairs whose singleton is
+ineligible, found per constraint by ``ineligible_singletons``, and of
+those only each constraint's first. A merge rewrites only the
+constraints that name the absorbed task and queues their first
+ineligible pairs again; every other pair keeps its verdict. So each
+merge happens at the first ineligible pair in declaration order, exactly
+where a rescan of the whole schema would find it, and the merge log is
+that of the rescan. The work is one ``ineligible_singletons`` call and at
+most one heap pop per constraint and per rewrite, not a rescan per
+merge; a schema with no ineligible pair pops nothing. Marking makes one
 maximum matching; its deficient set gives the hard tasks and the violator
 users at once, and at most one more matching gives the representatives.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping, Optional
 
 from wspkit.constraints import (
     classification,
     eligible_set,
+    ineligible_singletons,
     required_additions,
 )
 from wspkit.core import (
@@ -101,32 +106,39 @@ class EqualityEliminationResult:
 def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     """Merge tasks until every singleton is eligible for every constraint.
 
-    A min-heap holds (task, constraint) pairs by declaration index. At the
-    smallest pair (s, c) whose singleton {s} is ineligible, s absorbs the
-    first required addition in declaration order; only the constraints
-    naming the absorbed task are rewritten, and their pairs are queued
-    again. A constraint that was not rewritten keeps its verdict, so every
-    merge happens at the smallest ineligible pair of the current schema,
-    and the merge log is the one a rescan from the first task after each
-    merge would give. At most k-1 merges happen; a pair is checked once,
-    plus once after each rewrite of its constraint. A singleton with no
-    eligible superset makes the instance trivially unsatisfiable.
+    Each constraint's ineligible tasks (those whose singleton {s} is
+    ineligible) are found once, and again after each rewrite; a min-heap
+    holds each constraint's smallest such (task, constraint) pair by
+    declaration index. At a popped pair (s, c) whose task is still
+    ineligible, s absorbs the first required addition in declaration
+    order. That addition lies in c's scope, so c is rewritten along with
+    every other constraint naming the absorbed task, and each rewritten
+    constraint queues its smallest ineligible pair again. A constraint that
+    was not rewritten keeps its verdict and its queued pair, so every merge
+    happens at the smallest ineligible pair of the current schema, and the
+    merge log is the one a rescan from the first task after each merge
+    would give. At most k-1 merges happen. The work is one
+    ``ineligible_singletons`` call and at most one heap pop per constraint
+    and per rewrite, and no pop at all when every singleton is eligible. A
+    singleton with no eligible superset makes the instance trivially
+    unsatisfiable.
     """
     _check_kinds(schema)
     index = schema.task_index
     auth = dict(schema.auth)
     constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
     occurs: dict[str, set[int]] = {}
+    ineligible: dict[int, frozenset[str]] = {}
     heap: list[tuple[int, int]] = []
     queued: set[tuple[int, int]] = set()
     merges: list[MergeRecord] = []
 
     def queue(i: int) -> None:
-        for t in constraints[i].scope_set:
-            occurs.setdefault(t, set()).add(i)
-            if t in index and (index[t], i) not in queued:
-                queued.add((index[t], i))
-                heapq.heappush(heap, (index[t], i))
+        ineligible[i] = ineligible_singletons(constraints[i])
+        first = min((index[t] for t in ineligible[i] if t in index), default=None)
+        if first is not None and (first, i) not in queued:
+            queued.add((first, i))
+            heappush(heap, (first, i))
 
     def result(unsatisfiable: bool) -> EqualityEliminationResult:
         if not merges:
@@ -139,14 +151,16 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
         )
         return EqualityEliminationResult(reduced, tuple(merges), unsatisfiable)
 
-    for i in range(len(constraints)):
+    for i, c in enumerate(constraints):
+        for t in c.scope_set:
+            occurs.setdefault(t, set()).add(i)
         queue(i)
     while heap:
-        pair = heapq.heappop(heap)
+        pair = heappop(heap)
         queued.discard(pair)
         s, c = schema.tasks[pair[0]], constraints[pair[1]]
-        # an absorbed task no longer occurs in any scope
-        if c is None or s not in c.scope_set or eligible_set(c, {s}):
+        # each rewrite refreshes the set, and an absorbed task is in none
+        if c is None or s not in ineligible[pair[1]]:
             continue
         try:
             additions = required_additions(c, {s})
@@ -162,6 +176,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
             if constraints[i] is None:
                 occurs[s].discard(i)
             else:
+                occurs[s].add(i)
                 queue(i)
     return result(unsatisfiable=False)
 

@@ -14,6 +14,7 @@ from wspkit.constraints import (
     eligible_set,
     enumerate_eligible_partitions,
     enumerate_eligible_sets,
+    ineligible_singletons,
     required_additions,
 )
 from wspkit.core import (
@@ -373,3 +374,65 @@ def test_peruser_set_and_partition_consistency(t_low, extra, size, data):
     if parts:
         chosen = data.draw(st.sampled_from(parts))
         assert eligible_partition(c, dict(zip(scope, chosen)))
+
+
+TASKS = ("a", "b", "c", "d", "e", "f", "g")
+
+
+@st.composite
+def rewritten_constraints(draw):
+    """A constraint of any kind over up to seven tasks, including binds that
+    are not intersection-closed, then rewritten by up to three merges as
+    the kernel makes them: scopes gain repeats, and eq, neq and sep scopes
+    can shrink to one task."""
+    task = st.sampled_from(TASKS)
+    scope = st.lists(task, min_size=1, max_size=5)
+    c = draw(st.one_of(
+        st.builds(equality, task, task),
+        st.builds(disequality, task, task),
+        st.builds(binding, scope, scope),
+        st.builds(separation, scope, scope),
+        st.builds(at_most, st.integers(1, 6), scope),
+        st.builds(at_least, st.integers(1, 6), scope),
+        st.builds(lambda t_low, extra, ts: per_user(t_low, t_low + extra, ts),
+                  st.integers(1, 4), st.integers(0, 3),
+                  st.lists(task, min_size=1, max_size=8)),
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        survivor, absorbed = draw(st.lists(st.sampled_from(TASKS), min_size=2,
+                                           max_size=2, unique=True))
+        c = kernel._merged(c, survivor, absorbed) or c
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=rewritten_constraints())
+def test_ineligible_singletons_match_eligible_set(c):
+    assert ineligible_singletons(c) == {
+        t for t in c.scope_set if not eligible_set(c, {t})}
+
+
+class TestLargePeruser:
+    def test_grouping_search_runs_on_its_own_stack(self):
+        # 1 000 tasks repeated twice and 1 000 once: grouping the rest of
+        # {h0} takes about 1 000 groups, one level of search each.
+        heavy = tuple(f"h{i}" for i in range(1000))
+        light = tuple(f"g{i}" for i in range(1000))
+        assert eligible_set(per_user(2, 3, heavy + heavy + light), ["h0"])
+
+    def test_classification_stops_at_the_first_witness(self, monkeypatch):
+        # One task of each weight 1..16 (136 positions, 2^16 count vectors
+        # of load <= 200). {w1, w2} and {w1, w3} are eligible and meet in
+        # {w1}, of load 1 < 2, so the second vector already refutes.
+        c = per_user(2, 200, tuple(f"w{w}" for w in range(1, 17) for _ in range(w)))
+        calls = 0
+        real = constraints._eligible_counts
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(constraints, "_eligible_counts", counted)
+        assert classification(c) == (True, False)
+        assert calls <= c.arity

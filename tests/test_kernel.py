@@ -600,6 +600,26 @@ def test_hall_violator_is_the_deficient_set(graph):
     assert len(neighbors) < len(violator)
 
 
+def count_worklist(monkeypatch):
+    """Count the worklist's work: ineligible_singletons calls, heap pops,
+    and eligibility checks and required additions through the kernel."""
+    calls = {"singletons": 0, "pops": 0, "checks": 0, "additions": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(kernel, "ineligible_singletons",
+                        counted("singletons", kernel.ineligible_singletons))
+    monkeypatch.setattr(kernel, "heappop", counted("pops", kernel.heappop))
+    monkeypatch.setattr(kernel, "eligible_set", counted("checks", eligible_set))
+    monkeypatch.setattr(kernel, "required_additions",
+                        counted("additions", required_additions))
+    return calls
+
+
 def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
     # 400 tasks in 8 random equality trees, plus disequalities and peruser
     # scopes across trees. A rescan after every merge re-checks all the
@@ -614,18 +634,33 @@ def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
         constraints += [disequality(a, b), per_user(1, 3, (a, b, c))]
     rng.shuffle(constraints)
     schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks}, constraints)
-    calls = 0
-
-    def counted(c, block):
-        nonlocal calls
-        calls += 1
-        return eligible_set(c, block)
-
-    monkeypatch.setattr(kernel, "eligible_set", counted)
+    calls = count_worklist(monkeypatch)
     result = eliminate_equalities(schema)
     assert len(result.merges) == 400 - 8
     assert not result.unsatisfiable
-    assert calls <= 2 * sum(c.arity for c in constraints)
+    assert calls["checks"] == 0
+    assert calls["additions"] == len(result.merges)
+    assert calls["singletons"] + calls["pops"] <= 2 * sum(c.arity for c in constraints)
+
+
+def test_elimination_without_ineligible_pairs_pops_nothing(monkeypatch):
+    # Every singleton is eligible for neq and sep over two or more tasks and
+    # for peruser with t_low = 1 and no repeats, so no pair is ever queued.
+    rng = random.Random(3)
+    tasks = [f"t{i}" for i in range(60)]
+    constraints = []
+    for _ in range(40):
+        a, b, c = rng.sample(tasks, 3)
+        constraints += [disequality(a, b), separation((a,), (b, c)),
+                        per_user(1, rng.randint(1, 3), (a, b, c))]
+    schema = WorkflowSchema(tasks, ("u", "v"), {t: {"u", "v"} for t in tasks},
+                            constraints)
+    calls = count_worklist(monkeypatch)
+    result = eliminate_equalities(schema)
+    assert result.schema is schema
+    assert result.merges == ()
+    assert calls["pops"] == calls["additions"] == calls["checks"] == 0
+    assert calls["singletons"] == len(constraints)
 
 
 @pytest.mark.parametrize("make", [
