@@ -10,23 +10,29 @@ schema.
 Equality elimination works from a min-heap of (task, constraint) pairs
 ordered by declaration index. It queues only pairs whose singleton is
 ineligible, found per constraint by ``ineligible_singletons``, and of
-those only each constraint's first. A merge rewrites only the
-constraints that name the absorbed task and queues their first
-ineligible pairs again; every other pair keeps its verdict. So each
-merge happens at the first ineligible pair in declaration order, exactly
-where a rescan of the whole schema would find it, and the merge log is
-that of the rescan. The work is one ``ineligible_singletons`` call and at
-most one heap pop per constraint and per rewrite, not a rescan per
-merge; a schema with no ineligible pair pops nothing. Marking makes one
-maximum matching; its deficient set gives the hard tasks and the violator
-users at once, and at most one more matching gives the representatives.
+those only each constraint's first. An ``eq`` over two distinct tasks is
+held as its two endpoints, not as a constraint: both its singletons are
+ineligible and each one's required addition is the other endpoint, so it
+needs no eligibility work. A merge rewrites only the constraints that
+name the absorbed task and queues their first ineligible pairs again;
+an ``eq`` gets the survivor in place of the absorbed task, or is dropped
+once both its endpoints are merged. Every other constraint keeps its
+verdict. So each merge happens at the first ineligible pair in
+declaration order, exactly where a rescan of the whole schema would find
+it, and the merge log is that of the rescan. The work is at most one
+heap push per ``eq`` rewrite, one ``ineligible_singletons`` call per
+other constraint and per rewrite of one, and at most one heap pop per
+push, not a rescan per merge; a schema with no ineligible pair pops
+nothing. Marking makes one maximum matching; its deficient set gives the
+hard tasks and the violator users at once, and at most one more matching
+gives the representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from wspkit.constraints import (
     classification,
@@ -77,15 +83,6 @@ def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance
     return ConstraintInstance(c.kind, c.params, scope=sub(c.scope))
 
 
-def _merged(
-    c: ConstraintInstance, survivor: str, absorbed: str
-) -> Optional[ConstraintInstance]:
-    """The constraint after the merge, or None for an equality between the two."""
-    if c.kind == EQ2 and set(c.scope) == {survivor, absorbed}:
-        return None
-    return _substitute(c, absorbed, survivor)
-
-
 def _check_kinds(schema: WorkflowSchema) -> None:
     for i, c in enumerate(schema.constraints):
         regular, closed = classification(c)
@@ -109,40 +106,56 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     Each constraint's ineligible tasks (those whose singleton {s} is
     ineligible) are found once, and again after each rewrite; a min-heap
     holds each constraint's smallest such (task, constraint) pair by
-    declaration index. At a popped pair (s, c) whose task is still
-    ineligible, s absorbs the first required addition in declaration
-    order. That addition lies in c's scope, so c is rewritten along with
-    every other constraint naming the absorbed task, and each rewritten
-    constraint queues its smallest ineligible pair again. A constraint that
-    was not rewritten keeps its verdict and its queued pair, so every merge
-    happens at the smallest ineligible pair of the current schema, and the
-    merge log is the one a rescan from the first task after each merge
-    would give. At most k-1 merges happen. The work is one
-    ``ineligible_singletons`` call and at most one heap pop per constraint
-    and per rewrite, and no pop at all when every singleton is eligible. A
-    singleton with no eligible superset makes the instance trivially
-    unsatisfiable.
+    declaration index. An ``eq`` over two distinct tasks is held as its
+    current endpoints instead: both singletons are ineligible and each
+    one's required addition is the other endpoint, so it is queued at its
+    smaller endpoint with no eligibility work. At a popped pair (s, c)
+    whose task is still ineligible, s absorbs the first required addition
+    in declaration order. That addition lies in c's scope, so c is
+    rewritten along with every other constraint naming the absorbed task:
+    such an ``eq`` has the absorbed task replaced by s, or is dropped if
+    its other endpoint is s, and every other constraint is rebuilt. Each
+    rewritten constraint queues its smallest ineligible pair again. A
+    constraint that was not rewritten keeps its verdict and its queued
+    pair, so every merge happens at the smallest ineligible pair of the
+    current schema, and the merge log is the one a rescan from the first
+    task after each merge would give. At most k-1 merges happen. The work
+    is one ``ineligible_singletons`` call per other constraint and per
+    rewrite of one, at most one heap push per ``eq`` rewrite, and at most
+    one heap pop per push; there is no pop at all when every singleton is
+    eligible. A singleton with no eligible superset makes the instance
+    trivially unsatisfiable.
     """
     _check_kinds(schema)
     index = schema.task_index
     auth = dict(schema.auth)
     constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
+    # eq constraints over two distinct tasks, as their current endpoints,
+    # or None once their endpoints are merged
+    pairs: dict[int, Optional[tuple[str, str]]] = {}
     occurs: dict[str, set[int]] = {}
     ineligible: dict[int, frozenset[str]] = {}
     heap: list[tuple[int, int]] = []
     queued: set[tuple[int, int]] = set()
     merges: list[MergeRecord] = []
 
-    def queue(i: int) -> None:
-        ineligible[i] = ineligible_singletons(constraints[i])
-        first = min((index[t] for t in ineligible[i] if t in index), default=None)
+    def push(tasks: Iterable[str], i: int) -> None:
+        # a task outside the schema is never popped
+        first = min((index[t] for t in tasks if t in index), default=None)
         if first is not None and (first, i) not in queued:
             queued.add((first, i))
             heappush(heap, (first, i))
 
+    def queue(i: int) -> None:
+        ineligible[i] = ineligible_singletons(constraints[i])
+        if ineligible[i]:
+            push(ineligible[i], i)
+
     def result(unsatisfiable: bool) -> EqualityEliminationResult:
         if not merges:
             return EqualityEliminationResult(schema, (), unsatisfiable)
+        for i, ends in pairs.items():
+            constraints[i] = ends and ConstraintInstance(EQ2, scope=ends)
         reduced = WorkflowSchema(
             tasks=tuple(t for t in schema.tasks if t in auth),
             users=schema.users,
@@ -154,30 +167,47 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     for i, c in enumerate(constraints):
         for t in c.scope_set:
             occurs.setdefault(t, set()).add(i)
-        queue(i)
+        if c.kind == EQ2 and c.scope[0] != c.scope[1]:
+            pairs[i] = c.scope
+            push(c.scope, i)
+        else:
+            queue(i)
     while heap:
-        pair = heappop(heap)
-        queued.discard(pair)
-        s, c = schema.tasks[pair[0]], constraints[pair[1]]
-        # each rewrite refreshes the set, and an absorbed task is in none
-        if c is None or s not in ineligible[pair[1]]:
-            continue
-        try:
-            additions = required_additions(c, {s})
-        except DeadEndError:
-            return result(unsatisfiable=True)
-        partner = schema.sort_tasks(additions)[0]
+        entry = heappop(heap)
+        queued.discard(entry)
+        s, i = schema.tasks[entry[0]], entry[1]
+        if i in pairs:
+            ends = pairs[i]
+            if ends is None or s not in ends:
+                continue
+            partner = ends[1] if ends[0] == s else ends[0]
+        else:
+            # each rewrite refreshes the set, and an absorbed task is in none
+            if s not in ineligible[i]:
+                continue
+            try:
+                additions = required_additions(constraints[i], {s})
+            except DeadEndError:
+                return result(unsatisfiable=True)
+            partner = schema.sort_tasks(additions)[0]
         if partner not in auth:
             raise DomainError("both tasks must belong to the schema")
         auth[s] = auth[s] & auth.pop(partner)
         merges.append(MergeRecord(s, partner, auth[s]))
-        for i in occurs.pop(partner):
-            constraints[i] = _merged(constraints[i], s, partner)
-            if constraints[i] is None:
-                occurs[s].discard(i)
+        # a dropped pair names no task, so it is in no occurs set
+        for j in occurs.pop(partner):
+            ends = pairs.get(j)
+            if ends is None:
+                constraints[j] = _substitute(constraints[j], partner, s)
+                occurs[s].add(j)
+                queue(j)
+            elif s in ends:
+                pairs[j] = None
+                occurs[s].discard(j)
             else:
-                occurs[s].add(i)
-                queue(i)
+                pairs[j] = ends = (s, ends[1]) if ends[0] == partner else (ends[0], s)
+                occurs[s].add(j)
+                push(ends, j)
     return result(unsatisfiable=False)
 
 

@@ -32,6 +32,8 @@ from wspkit.errors import ClassificationError, ContractError, DeadEndError, Doma
 from wspkit.kernel import kernelize
 from wspkit.partitions import blocks as code_blocks, growth_strings
 
+from test_kernel import _merged
+
 NAMES = ("a", "b", "c", "d", "e", "f")
 
 
@@ -401,7 +403,7 @@ def rewritten_constraints(draw):
     for _ in range(draw(st.integers(0, 3))):
         survivor, absorbed = draw(st.lists(st.sampled_from(TASKS), min_size=2,
                                            max_size=2, unique=True))
-        c = kernel._merged(c, survivor, absorbed) or c
+        c = _merged(c, survivor, absorbed) or c
     return c
 
 

@@ -1,6 +1,7 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import random
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from wspkit import constraints, kernel
 from wspkit.constraints import classification, eligible_set, required_additions
 from wspkit.core import (
+    EQ2,
+    ConstraintInstance,
     Plan,
     WorkflowSchema,
     at_least,
@@ -337,6 +340,15 @@ class TestLiftPlan:
 # phase that the library replaced with a faster one giving the same output.
 
 
+def _merged(
+    c: ConstraintInstance, survivor: str, absorbed: str
+) -> Optional[ConstraintInstance]:
+    """The constraint after the merge, or None for an equality between the two."""
+    if c.kind == EQ2 and set(c.scope) == {survivor, absorbed}:
+        return None
+    return kernel._substitute(c, absorbed, survivor)
+
+
 def merge_tasks(schema, survivor, absorbed):
     """Merge two tasks forced to share a user, rebuilding the schema.
 
@@ -349,7 +361,7 @@ def merge_tasks(schema, survivor, absorbed):
     if survivor not in schema.auth or absorbed not in schema.auth:
         raise DomainError("both tasks must belong to the schema")
     new_auth = schema.auth[survivor] & schema.auth[absorbed]
-    merged = (kernel._merged(c, survivor, absorbed) for c in schema.constraints)
+    merged = (_merged(c, survivor, absorbed) for c in schema.constraints)
     auth = {t: (new_auth if t == survivor else schema.auth[t])
             for t in schema.tasks if t != absorbed}
     reduced = WorkflowSchema(
@@ -474,7 +486,9 @@ def reference_kernelize(schema):
 @st.composite
 def closed_kind_schemas(draw):
     """Regular intersection-closed instances: equality chains mixed with
-    every closed kind, including peruser scopes with repeated tasks."""
+    every closed kind, including self-equalities, equalities among tasks
+    that other kinds' merges absorb, and peruser scopes with repeated
+    tasks."""
     k = draw(st.integers(2, 8))
     tasks = tuple(f"t{i}" for i in range(k))
     users = tuple(f"u{i}" for i in range(draw(st.integers(1, 4))))
@@ -486,6 +500,7 @@ def closed_kind_schemas(draw):
         chain = draw(st.permutations(tasks))[: draw(st.integers(2, k))]
         constraints += [equality(x, y) for x, y in zip(chain, chain[1:])]
     constraints += draw(st.lists(st.one_of(
+        st.builds(equality, task, task),
         st.builds(disequality, task, task),
         st.builds(separation, scope, scope),
         st.builds(at_most, st.just(1), scope),
@@ -638,8 +653,9 @@ def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
     result = eliminate_equalities(schema)
     assert len(result.merges) == 400 - 8
     assert not result.unsatisfiable
-    assert calls["checks"] == 0
-    assert calls["additions"] == len(result.merges)
+    # every merge is an eq merge: no eligibility check, no required additions
+    assert calls["checks"] == calls["additions"] == 0
+    assert calls["singletons"] <= 2 * sum(c.arity for c in constraints if c.kind != EQ2)
     assert calls["singletons"] + calls["pops"] <= 2 * sum(c.arity for c in constraints)
 
 
