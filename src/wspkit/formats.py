@@ -309,12 +309,11 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 
 def serialize_kernel_log(result: KernelResult) -> str:
+    index = {u: i for i, u in enumerate(result.user_order)}
     lines = ["MERGES"]
     for rec in result.merge_log:
-        lines.append(
-            f"{rec.absorbed} -> {rec.surviving} : "
-            + " ".join(result.schema.sort_users(rec.intersected_auth))
-        )
+        users = sorted(rec.intersected_auth, key=lambda u: (index.get(u, len(index)), u))
+        lines.append(f"{rec.absorbed} -> {rec.surviving} : " + " ".join(users))
     lines.append("MARKED")
     lines.append(" ".join(result.marked))
     lines.append("HARD")

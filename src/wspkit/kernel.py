@@ -23,9 +23,9 @@ it, and the merge log is that of the rescan. The work is at most one
 heap push per ``eq`` rewrite, one ``ineligible_singletons`` call per
 other constraint and per rewrite of one, and at most one heap pop per
 push, not a rescan per merge; a schema with no ineligible pair pops
-nothing. Marking makes one maximum matching; its deficient set gives the
-hard tasks and the violator users at once, and at most one more matching
-gives the representatives.
+nothing. Marking makes one maximum matching: its deficient set gives the
+hard tasks and the violator users, and its partners of the other tasks
+are the representatives.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ class KernelResult:
     representatives: Mapping[str, str]
     merge_log: tuple[MergeRecord, ...]
     verdict: str  # REDUCED or TRIVIALLY_UNSAT
+    # the input's users in declaration order; the reduced schema keeps
+    # only the marked ones, or none for TRIVIALLY_UNSAT
+    user_order: tuple[str, ...]
 
 
 def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance:
@@ -223,35 +226,22 @@ def mark_users(schema: WorkflowSchema) -> MarkingResult:
 
     One maximum matching M of the tasks, on authorization lists sorted once
     into user order, decides the marking. Its deficient set D (see
-    ``hall_violator``) is the hard set. Every user in N(D) is matched into
-    D, and D holds an unmatched task, so |N(D)| < |D|; N(D) is marked.
-    Every task outside D is matched outside N(D), so one more maximum
-    matching of those tasks to the users outside N(D) is complete, and its
-    representatives are marked. At most one user is marked per task. When
-    M covers every task, D is empty and M gives the representatives.
-
-    Repeated Hall-violator removal ends with the same sets. Its removed
-    tasks H and users U have N(H) = U; the rounds' matchings of violator
-    users into violators, with the last round's matching outside U, form a
-    maximum matching whose deficient set is H, and every maximum matching
-    has the same deficient set. The second matching gets the inputs of the
-    loop's last round. ``hard`` is in task order; ``marked`` is the
-    violator users in user order, then the representatives in task order.
+    ``hall_violator``) is the hard set; every maximum matching has the same
+    one. Every user in N(D) is matched into D, and D holds an unmatched
+    task, so |N(D)| < |D|; N(D) is marked. Every task outside D is matched
+    outside N(D), so M restricted to those tasks is a system of distinct
+    representatives that avoids N(D), and its users are marked. So the
+    marked users are exactly those M covers, at most one per task.
+    ``hard`` is in task order; ``marked`` is the violator users in user
+    order, then the representatives in task order.
     """
     index = schema.user_index
     adj = {t: sorted((u for u in schema.auth[t] if u in index), key=index.__getitem__)
            for t in schema.tasks}
-    matching = maximum_matching(schema.tasks, schema.users, adj)
+    matching = maximum_matching(schema.tasks, adj)
     deficient = hall_violator(schema.tasks, matching, adj) or frozenset()
     violators = {u for t in deficient for u in adj[t]}
-    easy = [t for t in schema.tasks if t not in deficient]
-    if deficient:
-        matching = maximum_matching(
-            easy,
-            [u for u in schema.users if u not in violators],
-            {t: [u for u in adj[t] if u not in violators] for t in easy},
-        )
-    reps = {t: matching[t] for t in easy}
+    reps = {t: matching[t] for t in schema.tasks if t not in deficient}
     return MarkingResult(
         schema.sort_users(violators) + tuple(reps.values()),
         tuple(t for t in schema.tasks if t in deficient),
@@ -296,6 +286,7 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
             representatives={},
             merge_log=elim.merges,
             verdict=TRIVIALLY_UNSAT,
+            user_order=schema.users,
         )
     marking = mark_users(merged)
     marked_set = set(marking.marked)
@@ -312,6 +303,7 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
         representatives=dict(marking.representatives),
         merge_log=elim.merges,
         verdict=REDUCED,
+        user_order=schema.users,
     )
 
 

@@ -8,10 +8,9 @@ from typing import Mapping, Optional, Sequence
 
 def maximum_matching(
     left: Sequence[str],
-    right: Sequence[str],
     adj: Mapping[str, Sequence[str]],
 ) -> dict[str, str]:
-    """Maximum matching of left vertices to right vertices.
+    """Maximum matching of left vertices to their neighbors in adj.
 
     Deterministic: left vertices are processed in order, neighbors tried in
     the order given by adj. Each left vertex starts a depth-first search

@@ -68,7 +68,7 @@ def assign_blocks(
     for which, b in blocks.items():
         common = frozenset.intersection(*(schema.auth[t] for t in b))
         adj[which] = [u for u in schema.users if u in common]
-    matching = maximum_matching(list(blocks), schema.users, adj)
+    matching = maximum_matching(list(blocks), adj)
     if len(matching) != len(blocks):
         return None
     return Plan({t: u for which, u in matching.items() for t in blocks[which]})

@@ -8,6 +8,7 @@ from wspkit import formats
 from wspkit.classify import spec_from_constraint
 from wspkit.core import (
     Plan,
+    WorkflowSchema,
     at_least,
     at_most,
     binding,
@@ -264,3 +265,19 @@ class TestKernelLog:
             assert section in lines
         assert "s2 -> s1 : u1" in lines
         assert "s1 u1" in lines and "s3 u6" in lines
+
+    @pytest.mark.parametrize("auth_c, rest", [
+        ({"u3"}, "MARKED\nu2 u3\nHARD\n\nREPS\na u2\nc u3\n"),
+        (set(), "MARKED\n\nHARD\n\nREPS\n"),
+    ], ids=["reduced", "trivially-unsat"])
+    def test_merged_users_in_input_user_order(self, auth_c, rest):
+        # the reduced schema keeps only u2 and u3, or no user at all, so the
+        # merged authorization is sorted by the input's user order
+        users = tuple(f"u{i}" for i in range(1, 12))
+        schema = WorkflowSchema(
+            ("a", "b", "c"), users,
+            {"a": set(users), "b": {"u2", "u9", "u10", "u11"}, "c": auth_c},
+            (equality("a", "b"), disequality("a", "c")),
+        )
+        text = formats.serialize_kernel_log(kernelize(schema))
+        assert text == "MERGES\nb -> a : u2 u9 u10 u11\n" + rest

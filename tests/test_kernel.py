@@ -1,6 +1,7 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import random
+from itertools import product
 from typing import Optional
 from unittest import mock
 
@@ -25,7 +26,7 @@ from wspkit.core import (
     separation,
 )
 from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
-from wspkit.formats import serialize_instance
+from wspkit.formats import serialize_instance, serialize_kernel_log
 from wspkit.kernel import (
     REDUCED,
     TRIVIALLY_UNSAT,
@@ -160,10 +161,28 @@ class TestMarkUsers:
         with mock.patch.object(kernel, "maximum_matching",
                                wraps=kernel.maximum_matching) as matchings:
             result = mark_users(schema)
-        assert matchings.call_count == 2
+        assert matchings.call_count == 1
         assert result.hard == ("a", "b", "c", "d")
         assert result.marked == ("u1", "u3", "u2")
         assert dict(result.representatives) == {"e": "u2"}
+
+    def test_representatives_are_the_matchings_partners(self):
+        # t2, t3 and t4 share u0 and u1. The removal loop's last round
+        # matches t0 and t1 to u2 and u3 afresh and gives t0 u3 and t1 u2;
+        # the one maximum matching of all five tasks gives t0 u2 and t1 u3
+        schema = WorkflowSchema(
+            ("t0", "t1", "t2", "t3", "t4"), ("u0", "u1", "u2", "u3"),
+            {"t0": {"u0", "u1", "u2", "u3"}, "t1": {"u0", "u2", "u3"}, "t2": {"u1"},
+             "t3": {"u0", "u1"}, "t4": {"u0"}},
+        )
+        loop = scanning_mark_users(schema)
+        assert dict(loop.representatives) == {"t0": "u3", "t1": "u2"}
+        result = mark_users(schema)
+        assert result.hard == loop.hard == ("t2", "t3", "t4")
+        assert dict(result.representatives) == {"t0": "u2", "t1": "u3"}
+        assert result.marked == ("u0", "u1", "u2", "u3")
+        log = serialize_kernel_log(kernelize(schema))
+        assert log.endswith("MARKED\nu0 u1 u2 u3\nHARD\nt2 t3 t4\nREPS\nt0 u2\nt1 u3\n")
 
 
 class TestKernelize:
@@ -402,7 +421,7 @@ def restart_scan_eliminate_equalities(schema):
     return EqualityEliminationResult(current, tuple(merges))
 
 
-def recursive_matching(left, right, adj):
+def recursive_matching(left, adj):
     """Augmenting paths by recursion, left vertices and neighbors in order."""
     match_right = {}
 
@@ -455,7 +474,7 @@ def scanning_mark_users(schema):
         user_set = set(remaining_users)
         adj = {t: [u for u in schema.users if u in schema.auth[t] and u in user_set]
                for t in remaining_tasks}
-        matching = recursive_matching(remaining_tasks, remaining_users, adj)
+        matching = recursive_matching(remaining_tasks, adj)
         violator = first_violator(remaining_tasks, matching, adj)
         if violator is None:
             reps = {t: matching[t] for t in remaining_tasks}
@@ -521,32 +540,56 @@ def test_kernel_phases_match_reference_implementations(schema):
     assert fast.unsatisfiable == slow.unsatisfiable
     assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
     assert (fast.schema is schema) == (slow.schema is schema)
-    fast = kernelize(schema)
-    slow = reference_kernelize(schema)
-    assert fast.verdict == slow.verdict
-    assert fast.merge_log == slow.merge_log
-    assert_same_marking(fast.schema, fast, slow)
-    assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+    assert_same_kernel(schema, kernelize(schema), reference_kernelize(schema))
 
 
 def assert_same_marking(schema, fast, slow):
-    """The same hard tasks, marked users and representatives as the removal
-    loop, with hard in task order and marked as the violator users in user
-    order followed by the representatives in task order."""
-    assert list(fast.representatives.items()) == list(slow.representatives.items())
-    assert set(fast.hard) == set(slow.hard)
-    assert set(fast.marked) == set(slow.marked)
-    assert fast.hard == tuple(t for t in schema.tasks if t in set(slow.hard))
-    reps = tuple(slow.representatives.values())
-    assert fast.marked == schema.sort_users(set(slow.marked) - set(reps)) + reps
+    """The removal loop's hard tasks and violator users, with hard in task
+    order and marked as the violator users in user order followed by the
+    representatives in task order. The representatives are the partners of
+    the tasks outside hard in the first-fit matching: a system of distinct
+    representatives that avoids every violator user."""
+    hard = set(slow.hard)
+    assert fast.hard == tuple(t for t in schema.tasks if t in hard)
+    violators = set(slow.marked) - set(slow.representatives.values())
+    reps = tuple(fast.representatives.values())
+    assert fast.marked == schema.sort_users(violators) + reps
+    adj = {t: [u for u in schema.users if u in schema.auth[t]] for t in schema.tasks}
+    first_fit = recursive_matching(schema.tasks, adj)
+    assert list(fast.representatives.items()) == [
+        (t, first_fit[t]) for t in schema.tasks if t not in hard]
+    assert len(set(reps)) == len(reps)
+    assert all(u in schema.auth[t] and u not in violators
+               for t, u in fast.representatives.items())
+
+
+def assert_same_kernel(schema, fast, slow):
+    """The removal loop's kernel but for the representatives: the same
+    verdict, merges, tasks and constraints, and as users the violator users
+    and the representatives in user order, with the merged authorization
+    restricted to them."""
+    assert fast.verdict == slow.verdict
+    assert fast.merge_log == slow.merge_log
+    assert fast.schema.tasks == slow.schema.tasks
+    assert fast.schema.constraints == slow.schema.constraints
+    if fast.verdict == TRIVIALLY_UNSAT:
+        assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+        assert fast.marked == fast.hard == () and not fast.representatives
+        return
+    assert_same_marking(fast.schema, fast, slow)
+    violators = set(slow.marked) - set(slow.representatives.values())
+    kept = violators | set(fast.representatives.values())
+    assert fast.schema.users == tuple(u for u in schema.users if u in kept)
+    merged = eliminate_equalities(schema).schema
+    assert dict(fast.schema.auth) == {t: merged.auth[t] & kept for t in merged.tasks}
 
 
 @st.composite
-def clustered_schemas(draw):
-    """Up to 30 tasks in clusters, each authorized within a few users drawn
-    from up to 30: a cluster with fewer users than tasks is a Hall violator,
-    and disjoint violators take the removal loop several rounds."""
-    k = draw(st.integers(1, 30))
+def clustered_schemas(draw, max_tasks=30):
+    """Up to max_tasks tasks in clusters, each authorized within a few users
+    drawn from up to 30: a cluster with fewer users than tasks is a Hall
+    violator, and disjoint violators take the removal loop several rounds."""
+    k = draw(st.integers(1, max_tasks))
     tasks = tuple(f"t{i}" for i in range(k))
     users = tuple(f"u{i}" for i in range(draw(st.integers(1, 30))))
     order = draw(st.permutations(tasks))
@@ -570,14 +613,59 @@ def test_one_pass_marking_matches_removal_loop(schema):
         fast = mark_users(schema)
     slow = scanning_mark_users(schema)
     assert_same_marking(schema, fast, slow)
-    assert matchings.call_count == (2 if fast.hard else 1)
+    assert matchings.call_count == 1
     violators = set(fast.marked) - set(fast.representatives.values())
     assert violators == {u for t in fast.hard for u in schema.auth[t]}
     assert len(violators) < len(fast.hard) or not fast.hard
     result = kernelize(schema)
-    assert serialize_instance(result.schema) == serialize_instance(
-        reference_kernelize(schema).schema)
+    assert_same_kernel(schema, result, reference_kernelize(schema))
     assert len(result.schema.users) <= len(result.schema.tasks)
+
+
+@st.composite
+def small_clustered_closed_schemas(draw):
+    """Clustered authorizations of at most 7 tasks under neq, sep, peruser
+    1 h, atmost 1 and eq: small regular intersection-closed instances whose
+    kernels often have hard tasks."""
+    schema = draw(clustered_schemas(max_tasks=7))
+    task = st.sampled_from(schema.tasks)
+    scope = st.lists(task, min_size=1, max_size=4, unique=True)
+    constraints = draw(st.lists(st.one_of(
+        st.builds(disequality, task, task),
+        st.builds(separation, scope, scope),
+        st.builds(per_user, st.just(1), st.integers(1, 3),
+                  st.lists(task, min_size=1, max_size=5)),
+        st.builds(at_most, st.just(1), scope),
+        st.builds(equality, task, task),
+    ), max_size=6))
+    return WorkflowSchema(schema.tasks, schema.users, schema.auth, tuple(constraints))
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema=small_clustered_closed_schemas())
+def test_representatives_certify_the_kernel(schema):
+    expected = solve_bruteforce(schema).satisfiable
+    result = kernelize(schema)
+    if result.verdict == TRIVIALLY_UNSAT:
+        assert not expected
+        return
+    reduced = result.schema
+    outcome = solve_bruteforce(reduced)
+    assert outcome.satisfiable == expected
+    if outcome.satisfiable:
+        assert is_valid_plan(schema, lift_plan(result, outcome.plan))
+    # the extension lemma: the instance is satisfiable iff some authorized
+    # assignment of the hard tasks, all to violator users, extends to a
+    # valid plan through the representatives
+    extended = None
+    for users in product(*(reduced.sort_users(reduced.auth[t]) for t in result.hard)):
+        partial = Plan(dict(zip(result.hard, users)))
+        extended = extend_partial_plan(reduced, partial, result.representatives)
+        if extended is not None:
+            break
+    assert (extended is not None) == expected
+    if extended is not None:
+        assert is_valid_plan(schema, lift_plan(result, extended))
 
 
 @st.composite
@@ -589,7 +677,7 @@ def bipartite_graphs(draw):
         # some left vertices have no entry, and neighbors may repeat
         if right and draw(st.booleans()):
             adj[x] = draw(st.lists(st.sampled_from(right), max_size=2 * len(right)))
-    return left, right, adj
+    return left, adj
 
 
 @settings(max_examples=500, deadline=None)
@@ -601,8 +689,8 @@ def test_iterative_matching_matches_recursive(graph):
 @settings(max_examples=500, deadline=None)
 @given(graph=bipartite_graphs())
 def test_hall_violator_is_the_deficient_set(graph):
-    left, right, adj = graph
-    matching = maximum_matching(left, right, adj)
+    left, adj = graph
+    matching = maximum_matching(left, adj)
     violator = hall_violator(left, matching, adj)
     unmatched = {x for x in left if x not in matching}
     assert (violator is None) == (not unmatched)

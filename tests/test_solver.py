@@ -51,7 +51,7 @@ def reference_plan(schema):
                 if all(u in schema.auth[t] for t in tasks if label[t] == b)]
             for b in block_ids
         }
-        matching = maximum_matching(block_ids, schema.users, adj)
+        matching = maximum_matching(block_ids, adj)
         if len(matching) == len(block_ids):
             return {t: matching[label[t]] for t in tasks}
     return None
