@@ -14,7 +14,7 @@ from pathlib import Path
 
 from wspkit import classify as cls
 from wspkit import formats, kernel, reductions, solver
-from wspkit.core import is_valid_plan, validate_schema
+from wspkit.core import CATALOG, PAIR, SETS, is_valid_plan, validate_schema
 from wspkit.errors import ContractError, WspError
 from wspkit.formats import parse_constraint_line
 
@@ -84,32 +84,31 @@ def _spec_from_args(args) -> cls.RelationSpec:
         cls.check_arity(spec.arity, args.arity_cap)
         return spec
     kind = args.kind
-    arity = (2 if kind in ("eq", "neq") else 3) if args.arity is None else args.arity
+    entry = CATALOG.get(kind)
+    if entry is None:
+        raise WspError(f"unknown kind {kind!r}")
+    shape, bounds = entry
+    arity = (2 if shape == PAIR else 3) if args.arity is None else args.arity
     if arity < 1:
         raise WspError(f"--arity must be at least 1, got {arity}")
+    # default bounds: 2 for one bound, 1,2 for two
+    params = args.params.split(",") if args.params else ["1", "2"][2 - bounds:]
+    if len(params) != bounds:
+        raise WspError(f"{kind} takes {bounds} --params values, got {args.params!r}")
     names = [str(i) for i in range(1, arity + 1)]
-    if kind in ("eq", "neq"):
+    if shape == PAIR:
         if arity != 2:
             raise WspError(f"{kind} has arity 2, got --arity {arity}")
         tokens = [kind, *names]
-    elif kind in ("bind", "sep"):
+    elif shape == SETS:
         split = args.split
         if not 1 <= split < arity:
             raise WspError(f"--split must lie in 1..{arity - 1}, got {split}")
         tokens = [kind,
                   "{%s}" % ",".join(names[:split]),
                   "{%s}" % ",".join(names[split:])]
-        if args.params:
-            raise WspError(f"{kind} takes --split, not --params")
-    elif kind in ("atmost", "atleast"):
-        tokens = [kind, args.params or "2", "{%s}" % ",".join(names)]
-    elif kind == "peruser":
-        bounds = (args.params or "1,2").split(",")
-        if len(bounds) != 2:
-            raise WspError(f"peruser takes --params LOW,HIGH, got {args.params!r}")
-        tokens = [kind, *bounds, "{%s}" % ",".join(names)]
     else:
-        raise WspError(f"unknown kind {kind!r}")
+        tokens = [kind, *params, "{%s}" % ",".join(names)]
     constraint = parse_constraint_line(tokens)
     return cls.spec_from_constraint(constraint, arity_cap=args.arity_cap)
 
@@ -214,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", nargs="?", help="relation spec file")
     p.add_argument("--kind", help="catalog kind instead of a spec file")
     p.add_argument("--params", help="comma-separated integer parameters")
-    p.add_argument("--arity", type=int, help="default 2 for eq/neq, else 3")
+    p.add_argument("--arity", type=int, help="default 2 for two-task kinds, else 3")
     p.add_argument("--split", type=int, default=1,
-                   help="left set size for bind/sep instantiation")
+                   help="left set size for two-set kinds")
     p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP,
                    help="largest arity to classify, for a spec file or --kind "
                         "(default %(default)s)")

@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional
 from wspkit.core import (ATLEAST, ATMOST, BIND, EQ2, NEQ2, PERUSER, SEP,
                          ConstraintInstance)
 from wspkit.errors import ContractError, DeadEndError, DomainError
-from wspkit.partitions import blocks, growth_strings
+from wspkit.partitions import growth_strings
 
 
 # (multiplicity, number of distinct tasks), heaviest first, no empty class
@@ -292,15 +292,6 @@ def enumerate_eligible_partitions(c: ConstraintInstance) -> tuple[tuple[int, ...
     scope = c.scope_set
     return tuple(code for code in growth_strings(len(scope))
                  if eligible_partition(c, dict(zip(scope, code))))
-
-
-def enumerate_eligible_sets(c: ConstraintInstance) -> frozenset[frozenset[str]]:
-    """Ground-truth eligible-set family from partition enumeration."""
-    scope = c.scope_set
-    out: set[frozenset[str]] = {frozenset()}
-    for code in enumerate_eligible_partitions(c):
-        out.update(frozenset(scope[i] for i in b) for b in blocks(code))
-    return frozenset(out)
 
 
 def classification(c: ConstraintInstance) -> tuple[bool, Optional[bool]]:

@@ -6,21 +6,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from wspkit.errors import DomainError
 
-# Catalog tags. Two-task kinds take a scope pair, two-set kinds a pair of
-# task sets, counting kinds a single task set plus integer parameters.
-EQ2 = "eq"
-NEQ2 = "neq"
-BIND = "bind"
-SEP = "sep"
-ATMOST = "atmost"
-ATLEAST = "atleast"
-PERUSER = "peruser"
-
-KINDS = (EQ2, NEQ2, BIND, SEP, ATMOST, ATLEAST, PERUSER)
+# The catalog's syntax, one entry per kind: kind -> (shape, number of
+# integer bounds). PAIR is two tasks (``neq a b``); SETS is two nonempty task
+# sets (``sep {a} {b,c}``); COUNT is the integer bounds, rising from 1, then
+# one nonempty task set (``peruser 1 2 {a,b,c}``).
+PAIR, SETS, COUNT = "pair", "sets", "count"
+CATALOG = {
+    "eq": (PAIR, 0), "neq": (PAIR, 0), "bind": (SETS, 0), "sep": (SETS, 0),
+    "atmost": (COUNT, 1), "atleast": (COUNT, 1), "peruser": (COUNT, 2),
+}
+# the kind tags, in catalog order
+EQ2, NEQ2, BIND, SEP, ATMOST, ATLEAST, PERUSER = CATALOG
 
 
 def _dedup(items: Iterable[str]) -> tuple[str, ...]:
@@ -51,31 +51,26 @@ class ConstraintInstance:
     )
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        entry = CATALOG.get(self.kind)
+        if entry is None:
             raise DomainError(f"unknown constraint kind {self.kind!r}")
-        if self.kind in (EQ2, NEQ2):
+        shape, bounds = entry
+        params = self.params
+        if len(params) != bounds or bounds and not 1 <= params[0] <= params[-1]:
+            raise DomainError(
+                f"{self.kind} takes {bounds} integer bounds rising from 1, got {params}"
+            )
+        if shape == PAIR:
             if len(self.scope) != 2:
                 raise DomainError(f"{self.kind} takes exactly two tasks")
-            if self.params:
-                raise DomainError(f"{self.kind} takes no parameters")
-        elif self.kind in (BIND, SEP):
+        elif shape == SETS:
             if self.scope_sets is None or not all(self.scope_sets):
                 raise DomainError(f"{self.kind} requires two nonempty task sets")
-            if self.params:
-                raise DomainError(f"{self.kind} takes no parameters")
             object.__setattr__(
                 self, "scope", _dedup(self.scope_sets[0] + self.scope_sets[1])
             )
-        elif self.kind in (ATMOST, ATLEAST):
-            if len(self.params) != 1 or self.params[0] < 1:
-                raise DomainError(f"{self.kind} requires a parameter t >= 1")
-            if not self.scope:
-                raise DomainError(f"{self.kind} requires a nonempty scope")
-        elif self.kind == PERUSER:
-            if len(self.params) != 2 or not (1 <= self.params[0] <= self.params[1]):
-                raise DomainError("peruser requires 1 <= t_l <= t_r")
-            if not self.scope:
-                raise DomainError("peruser requires a nonempty scope")
+        elif not self.scope:
+            raise DomainError(f"{self.kind} requires a nonempty scope")
 
     @property
     def scope_set(self) -> tuple[str, ...]:
@@ -234,21 +229,15 @@ def is_valid_plan(schema: WorkflowSchema, plan: Plan) -> Verdict:
     return Verdict(not violations, tuple(violations))
 
 
-def describe(c: ConstraintInstance) -> str:
-    """Short human-readable rendering of a constraint."""
-    if c.kind == EQ2:
-        return f"{c.scope[0]} = {c.scope[1]}"
-    if c.kind == NEQ2:
-        return f"{c.scope[0]} != {c.scope[1]}"
-    if c.kind == BIND:
-        return "bind {%s} {%s}" % (",".join(c.scope_sets[0]), ",".join(c.scope_sets[1]))
-    if c.kind == SEP:
-        return "sep {%s} {%s}" % (",".join(c.scope_sets[0]), ",".join(c.scope_sets[1]))
-    if c.kind == ATMOST:
-        return "atmost %d {%s}" % (c.params[0], ",".join(c.scope))
-    if c.kind == ATLEAST:
-        return "atleast %d {%s}" % (c.params[0], ",".join(c.scope))
-    return "peruser %d %d {%s}" % (c.params[0], c.params[1], ",".join(c.scope))
+def describe(c: ConstraintInstance, order: Callable = tuple) -> str:
+    """The constraint in instance syntax, each task set put in ``order``."""
+    shape = CATALOG[c.kind][0]
+    if shape == PAIR:
+        return f"{c.kind} {c.scope[0]} {c.scope[1]}"
+    if shape == SETS:
+        left, right = c.scope_sets
+        return "%s {%s} {%s}" % (c.kind, ",".join(order(left)), ",".join(order(right)))
+    return "%s %s {%s}" % (c.kind, " ".join(map(str, c.params)), ",".join(order(c.scope)))
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,17 @@ ignored on input; serializers may emit '#' header comments.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from wspkit.core import (
+    CATALOG,
+    COUNT,
+    PAIR,
+    SETS,
     ConstraintInstance,
     Plan,
     WorkflowSchema,
-    at_least,
-    at_most,
-    binding,
-    disequality,
-    equality,
-    per_user,
-    separation,
+    describe,
 )
 from wspkit.classify import RelationSpec
 from wspkit.errors import DomainError, ParseError
@@ -54,32 +52,26 @@ def _parse_set(token: str) -> tuple[str, ...]:
 
 
 def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:
+    """A constraint from the tokens of its instance syntax (see ``CATALOG``)."""
     if not args:
         raise ParseError("empty constraint")
-    kind, rest = args[0], args[1:]
+    kind = args[0]
+    entry = CATALOG.get(kind)
+    if entry is None:
+        raise ParseError(f"unknown constraint kind {kind!r}")
+    shape, bounds = entry
+    arguments = bounds + 1 if shape == COUNT else 2
+    if len(args) != arguments + 1:
+        raise ParseError(f"{kind} takes {arguments} arguments, got {len(args) - 1}")
     try:
-        if kind == "eq":
-            return equality(*rest)
-        if kind == "neq":
-            return disequality(*rest)
-        if kind in ("bind", "sep"):
-            if len(rest) != 2:
-                raise ParseError(f"{kind} takes two task sets")
-            left, right = _parse_set(rest[0]), _parse_set(rest[1])
-            return binding(left, right) if kind == "bind" else separation(left, right)
-        if kind in ("atmost", "atleast"):
-            if len(rest) != 2:
-                raise ParseError(f"{kind} takes a bound and a task set")
-            t = int(rest[0])
-            scope = _parse_set(rest[1])
-            return at_most(t, scope) if kind == "atmost" else at_least(t, scope)
-        if kind == "peruser":
-            if len(rest) != 3:
-                raise ParseError("peruser takes two bounds and a task set")
-            return per_user(int(rest[0]), int(rest[1]), _parse_set(rest[2]))
-    except (TypeError, ValueError, DomainError) as exc:
+        if shape == PAIR:
+            return ConstraintInstance(kind, scope=(args[1], args[2]))
+        if shape == SETS:
+            sets = (_parse_set(args[1]), _parse_set(args[2]))
+            return ConstraintInstance(kind, scope_sets=sets)
+        return ConstraintInstance(kind, tuple(map(int, args[1:-1])), _parse_set(args[-1]))
+    except (ValueError, DomainError) as exc:
         raise ParseError(f"bad constraint {' '.join(args)!r}: {exc}") from exc
-    raise ParseError(f"unknown constraint kind {kind!r}")
 
 
 def parse_instance(text: str) -> WorkflowSchema:
@@ -116,29 +108,15 @@ def parse_instance(text: str) -> WorkflowSchema:
     return WorkflowSchema(tasks, users, auth, tuple(constraints))
 
 
-def _fmt_set(schema: WorkflowSchema, tasks: Iterable[str]) -> str:
-    return "{%s}" % ",".join(schema.sort_tasks(tasks))
-
-
-def format_constraint(schema: WorkflowSchema, c: ConstraintInstance) -> str:
-    if c.kind in ("eq", "neq"):
-        return f"{c.kind} {c.scope[0]} {c.scope[1]}"
-    if c.kind in ("bind", "sep"):
-        left, right = c.scope_sets
-        return f"{c.kind} {_fmt_set(schema, left)} {_fmt_set(schema, right)}"
-    if c.kind in ("atmost", "atleast"):
-        return f"{c.kind} {c.params[0]} {_fmt_set(schema, c.scope)}"
-    return f"peruser {c.params[0]} {c.params[1]} {_fmt_set(schema, c.scope)}"
-
-
 def serialize_instance(schema: WorkflowSchema, header: Sequence[str] = ()) -> str:
     lines = [f"# {h}" for h in header]
     lines.append("tasks: " + " ".join(schema.tasks))
     lines.append("users: " + " ".join(schema.users))
     for t in schema.tasks:
         lines.append(f"auth {t}: " + " ".join(schema.sort_users(schema.auth[t])))
+    order = schema.sort_tasks
     for c in schema.constraints:
-        lines.append("constraint " + format_constraint(schema, c))
+        lines.append("constraint " + describe(c, order))
     return "\n".join(lines) + "\n"
 
 

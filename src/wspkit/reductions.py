@@ -16,15 +16,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from wspkit.classify import matches_ternary_condition, spec_from_constraint
 from wspkit.core import (
+    BIND,
+    CATALOG,
+    COUNT,
+    PAIR,
+    SETS,
     ConstraintInstance,
     WorkflowSchema,
     at_least,
     at_most,
     binding,
-    disequality,
-    equality,
-    per_user,
-    separation,
 )
 from wspkit.errors import DomainError, ParseError, ResourceLimitError
 
@@ -238,12 +239,7 @@ def gen_random_instance(
     auth = {
         t: frozenset(u for u in users if rng.random() < density) for t in tasks
     }
-    normalized: list[tuple[str, tuple[int, ...] | None]] = []
-    for entry in kinds:
-        if isinstance(entry, str):
-            normalized.append((entry, None))
-        else:
-            normalized.append((entry[0], entry[1]))
+    normalized = [(e, None) if isinstance(e, str) else (e[0], e[1]) for e in kinds]
     constraints = [
         _random_constraint(rng, tasks, *rng.choice(normalized))
         for _ in range(num_constraints)
@@ -257,34 +253,32 @@ def _random_constraint(
     kind: str,
     params: tuple[int, ...] | None,
 ) -> ConstraintInstance:
+    entry = CATALOG.get(kind)
+    if entry is None:
+        raise DomainError(f"unknown kind in mix: {kind!r}")
+    shape, bounds = entry
     k = len(tasks)
-    if kind in ("eq", "neq"):
-        if k < 2:
-            raise DomainError(f"{kind} needs at least two tasks")
-        s, s2 = rng.sample(tasks, 2)
-        return equality(s, s2) if kind == "eq" else disequality(s, s2)
-    if kind in ("sep", "bind"):
-        if k < 2:
-            raise DomainError(f"{kind} needs at least two tasks")
-        size = rng.randint(2, min(k, 4))
-        chosen = rng.sample(tasks, size)
-        split = 1 if kind == "bind" else rng.randint(1, size - 1)
-        left, right = tuple(chosen[:split]), tuple(chosen[split:])
-        return binding(left, right) if kind == "bind" else separation(left, right)
-    if kind in ("atmost", "atleast"):
+    if shape != COUNT and k < 2:
+        raise DomainError(f"{kind} needs at least two tasks")
+    if shape == PAIR:
+        return ConstraintInstance(kind, scope=tuple(rng.sample(tasks, 2)))
+    if shape == SETS:
+        chosen = rng.sample(tasks, rng.randint(2, min(k, 4)))
+        # a singleton side keeps bind regular
+        split = 1 if kind == BIND else rng.randint(1, len(chosen) - 1)
+        return ConstraintInstance(kind, scope_sets=(tuple(chosen[:split]),
+                                                    tuple(chosen[split:])))
+    # one bound is drawn after the scope; two bounds are drawn first, and the
+    # scope holds at least as many tasks as the lower bound
+    if bounds == 1:
         size = rng.randint(2, min(k, 5)) if k >= 2 else 1
         scope = tuple(rng.sample(tasks, size))
-        t = params[0] if params else rng.randint(1, size)
-        return at_most(t, scope) if kind == "atmost" else at_least(t, scope)
-    if kind == "peruser":
-        if params:
-            t_low, t_high = params
-        else:
-            t_low = rng.randint(1, min(2, k))
-            t_high = rng.randint(t_low, t_low + 2)
-        if t_low > k:
-            raise DomainError("peruser lower bound exceeds the task count")
-        size = rng.randint(max(2, t_low), min(k, max(2, t_low) + 3)) if k >= 2 else 1
-        scope = tuple(rng.sample(tasks, size))
-        return per_user(t_low, t_high, scope)
-    raise DomainError(f"unknown kind in mix: {kind!r}")
+        return ConstraintInstance(kind, tuple(params or (rng.randint(1, size),)), scope)
+    if not params:
+        t_low = rng.randint(1, min(2, k))
+        params = (t_low, rng.randint(t_low, t_low + 2))
+    if params[0] > k:
+        raise DomainError(f"{kind} lower bound exceeds the task count")
+    low = max(2, params[0])
+    size = rng.randint(low, min(k, low + 3)) if k >= 2 else 1
+    return ConstraintInstance(kind, tuple(params), tuple(rng.sample(tasks, size)))

@@ -21,7 +21,6 @@ from wspkit.cli import main as cli_main
 from wspkit.constraints import (
     classification,
     eligible_set,
-    enumerate_eligible_sets,
     required_additions,
 )
 from wspkit.core import (
@@ -48,6 +47,8 @@ from wspkit.reductions import (
     solve_sat_bruteforce,
 )
 from wspkit.solver import project, solve_bruteforce, solve_fpt
+
+from test_constraints import enumerate_eligible_sets
 
 NAMES = ("a", "b", "c", "d", "e", "f")
 

@@ -125,8 +125,7 @@ class TestVerify:
         plan.write_text("s1 u1\ns2 u1\ns3 u1\n")
         assert main(["verify", wstar_file, str(plan)]) == 1
         out = capsys.readouterr().out
-        assert "neq" not in out or "!=" in out
-        assert "violation" in out
+        assert "violation [eligible]: constraint #1 (neq s1 s3) is violated" in out.splitlines()
 
     def test_incomplete_plan(self, wstar_file, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
@@ -261,9 +260,12 @@ class TestClassify:
         ["--kind", "sep", "--arity", "1"],
         ["--kind", "neq", "--arity", "5"],
         ["--kind", "eq", "--arity", "1"],
+        ["--kind", "eq", "--params", "3"],
+        ["--kind", "neq", "--arity", "2", "--params", "1,2"],
+        ["--kind", "atmost", "--params", "2,3"],
     ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative",
             "bind-split-negative", "sep-split-0", "bind-split-arity", "sep-arity-1",
-            "neq-arity-5", "eq-arity-1"])
+            "neq-arity-5", "eq-arity-1", "eq-params", "neq-params", "atmost-two-bounds"])
     def test_bad_arguments(self, capsys, args):
         assert main(["classify", *args]) == 2
         captured = capsys.readouterr()

@@ -13,11 +13,11 @@ from wspkit.constraints import (
     eligible_partition,
     eligible_set,
     enumerate_eligible_partitions,
-    enumerate_eligible_sets,
     ineligible_singletons,
     required_additions,
 )
 from wspkit.core import (
+    ConstraintInstance,
     Plan,
     WorkflowSchema,
     at_least,
@@ -40,6 +40,15 @@ NAMES = ("a", "b", "c", "d", "e", "f")
 def blocks(*groups):
     """The labelling that puts each group of tasks in its own block."""
     return {t: i for i, g in enumerate(groups) for t in g}
+
+
+def enumerate_eligible_sets(c: ConstraintInstance) -> frozenset[frozenset[str]]:
+    """Ground-truth eligible-set family from partition enumeration."""
+    scope = c.scope_set
+    out: set[frozenset[str]] = {frozenset()}
+    for code in enumerate_eligible_partitions(c):
+        out.update(frozenset(scope[i] for i in b) for b in code_blocks(code))
+    return frozenset(out)
 
 
 def catalog_instances(max_arity):

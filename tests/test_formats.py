@@ -1,15 +1,24 @@
 """Text formats: instances, plans, relation specs, MCHS, DIMACS, kernel logs."""
 
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wspkit import formats
 from wspkit.classify import spec_from_constraint
+from wspkit.cli import main
 from wspkit.core import (
+    CATALOG,
+    PAIR,
+    SETS,
+    ConstraintInstance,
     Plan,
     WorkflowSchema,
     at_least,
+    describe,
     at_most,
     binding,
     disequality,
@@ -90,6 +99,55 @@ class TestInstanceFormat:
         assert ([c.dedup_key() for c in back.constraints]
                 == [c.dedup_key() for c in schema.constraints])
         assert formats.serialize_instance(back) == text
+
+
+CATALOG_TASKS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def catalog_constraints(draw):
+    """A constraint of any CATALOG kind, built from its shape, with every
+    task set in task order; a one-set scope may repeat tasks."""
+    kind = draw(st.sampled_from(list(CATALOG)))
+    shape, bounds = CATALOG[kind]
+    task = st.sampled_from(CATALOG_TASKS)
+    if shape == PAIR:
+        return ConstraintInstance(kind, scope=(draw(task), draw(task)))
+    task_set = st.lists(task, min_size=1, max_size=4, unique=True).map(sorted)
+    if shape == SETS:
+        return ConstraintInstance(kind, scope_sets=(tuple(draw(task_set)),
+                                                    tuple(draw(task_set))))
+    params = draw(st.lists(st.integers(1, 6), min_size=bounds, max_size=bounds))
+    scope = draw(st.lists(task, min_size=1, max_size=6).map(sorted))
+    return ConstraintInstance(kind, tuple(sorted(params)), tuple(scope))
+
+
+class TestCatalog:
+    """Every kind's syntax comes from its CATALOG shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=catalog_constraints())
+    def test_describe_parses_back(self, c):
+        text = describe(c)
+        assert formats.parse_constraint_line(text.split()) == c
+        schema = WorkflowSchema(CATALOG_TASKS, (), {}, (c,))
+        assert describe(c, schema.sort_tasks) == text
+        assert formats.serialize_instance(schema).endswith(f"\nconstraint {text}\n")
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+           .filter(lambda kind: kind not in CATALOG))
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(DomainError, match="unknown constraint kind"):
+            ConstraintInstance(kind, scope=("a", "b"))
+        with pytest.raises(ParseError, match="unknown constraint kind"):
+            formats.parse_constraint_line([kind, "a", "b"])
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["classify", "--kind", kind]) == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPlanFormat:

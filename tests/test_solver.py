@@ -323,5 +323,5 @@ class TestUnknownScopeTask:
     def test_oracle_names_the_constraint(self):
         for entry in (solve_fpt, solve_bruteforce,
                       lambda schema: project(schema, set())):
-            with pytest.raises(DomainError, match=r"constraint #0 \(a != ghost\)"):
+            with pytest.raises(DomainError, match=r"constraint #0 \(neq a ghost\)"):
                 entry(self.SCHEMA)
