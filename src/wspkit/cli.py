@@ -95,13 +95,15 @@ def _spec_from_args(args) -> cls.RelationSpec:
     params = args.params.split(",") if args.params else ["1", "2"][2 - bounds:]
     if len(params) != bounds:
         raise WspError(f"{kind} takes {bounds} --params values, got {args.params!r}")
+    if shape != SETS and args.split is not None:
+        raise WspError(f"{kind} has no two task sets to split, got --split {args.split}")
     names = [str(i) for i in range(1, arity + 1)]
     if shape == PAIR:
         if arity != 2:
             raise WspError(f"{kind} has arity 2, got --arity {arity}")
         tokens = [kind, *names]
     elif shape == SETS:
-        split = args.split
+        split = 1 if args.split is None else args.split
         if not 1 <= split < arity:
             raise WspError(f"--split must lie in 1..{arity - 1}, got {split}")
         tokens = [kind,
@@ -214,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", help="catalog kind instead of a spec file")
     p.add_argument("--params", help="comma-separated integer parameters")
     p.add_argument("--arity", type=int, help="default 2 for two-task kinds, else 3")
-    p.add_argument("--split", type=int, default=1,
-                   help="left set size for two-set kinds")
+    p.add_argument("--split", type=int,
+                   help="left set size for two-set kinds (default 1)")
     p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP,
                    help="largest arity to classify, for a spec file or --kind "
                         "(default %(default)s)")

@@ -260,19 +260,20 @@ def validate_schema(schema: WorkflowSchema) -> SchemaReport:
         errors.append("duplicate user identifiers")
     users = set(schema.users)
     tasks = set(schema.tasks)
+    # containment is tested first; the difference is built only to report it
     for t in schema.tasks:
-        bad = schema.auth[t] - users
-        if bad:
+        auth = schema.auth[t]
+        if not users.issuperset(auth):
             errors.append(
-                f"authorization of {t} names unknown users: {sorted(bad)}"
+                f"authorization of {t} names unknown users: {sorted(auth - users)}"
             )
-        if not schema.auth[t]:
+        if not auth:
             warnings.append(f"task {t} has an empty authorization list "
                             "(instance is trivially unsatisfiable)")
     for i, c in enumerate(schema.constraints):
-        unknown = set(c.scope_set) - tasks
-        if unknown:
+        if not tasks.issuperset(c.scope_set):
+            unknown = sorted(set(c.scope_set) - tasks)
             errors.append(
-                f"constraint #{i} ({describe(c)}) names unknown tasks: {sorted(unknown)}"
+                f"constraint #{i} ({describe(c)}) names unknown tasks: {unknown}"
             )
     return SchemaReport(tuple(errors), tuple(warnings))

@@ -48,7 +48,10 @@ def _parse_set(token: str) -> tuple[str, ...]:
     inner = m.group(1).strip()
     if not inner:
         raise ParseError("empty task set")
-    return tuple(x.strip() for x in inner.split(","))
+    names = tuple(x.strip() for x in inner.split(","))
+    if "" in names:
+        raise ParseError(f"empty task name in {token!r}")
+    return names
 
 
 def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:

@@ -7,22 +7,25 @@ as many users as tasks. A plan-extension procedure certifies correctness
 and a lift operation replays merges to recover plans for the original
 schema.
 
-Equality elimination works from a min-heap of (task, constraint) pairs
-ordered by declaration index. It queues only pairs whose singleton is
-ineligible, found per constraint by ``ineligible_singletons``, and of
-those only each constraint's first. An ``eq`` over two distinct tasks is
-held as its two endpoints, not as a constraint: both its singletons are
-ineligible and each one's required addition is the other endpoint, so it
-needs no eligibility work. A merge rewrites only the constraints that
-name the absorbed task and queues their first ineligible pairs again;
-an ``eq`` gets the survivor in place of the absorbed task, or is dropped
-once both its endpoints are merged. Every other constraint keeps its
-verdict. So each merge happens at the first ineligible pair in
-declaration order, exactly where a rescan of the whole schema would find
-it, and the merge log is that of the rescan. The work is at most one
-heap push per ``eq`` rewrite, one ``ineligible_singletons`` call per
-other constraint and per rewrite of one, and at most one heap pop per
-push, not a rescan per merge; a schema with no ineligible pair pops
+Equality elimination works from a min-heap of (task index, constraint
+index) pairs. It pushes only pairs whose singleton is ineligible, found
+per constraint by ``ineligible_singletons``, and of those only each
+constraint's first. An ``eq`` over two distinct tasks is held as its two
+endpoints, not as a constraint: both its singletons are ineligible and
+each one's required addition is the other endpoint, so it needs no
+eligibility work. A merge rewrites only the constraints that name the
+absorbed task and pushes their first ineligible pairs again; an ``eq``
+gets the survivor in place of the absorbed task, or is dropped once both
+its endpoints are merged. Every other constraint keeps its verdict. Heap
+entries are deleted lazily: an entry whose pair stopped being ineligible
+stays until it is popped and skipped. Each constraint's smallest
+ineligible pair is always in the heap, so the first entry popped that is
+still ineligible is the first ineligible pair in declaration order,
+exactly where a rescan of the whole schema would find it, and the merge
+log is that of the rescan. The work is at most one heap push per
+constraint and per rewrite, one ``ineligible_singletons`` call per
+constraint other than an ``eq`` and per rewrite of one, and one heap pop
+per push, not a rescan per merge; a schema with no ineligible pair pops
 nothing. Marking makes one maximum matching: its deficient set gives the
 hard tasks and the violator users, and its partners of the other tasks
 are the representatives.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from wspkit.constraints import (
     classification,
@@ -42,6 +45,8 @@ from wspkit.constraints import (
 )
 from wspkit.core import (
     EQ2,
+    NEQ2,
+    SEP,
     ConstraintInstance,
     Plan,
     WorkflowSchema,
@@ -51,12 +56,14 @@ from wspkit.core import (
 from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
 from wspkit.matching import hall_violator, maximum_matching
 
+# kinds that are regular and intersection-closed whatever their scope
+_ALWAYS_CLOSED = (EQ2, NEQ2, SEP)
+
 REDUCED = "reduced"
 TRIVIALLY_UNSAT = "trivially-unsat"
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(NamedTuple):
     surviving: str
     absorbed: str
     intersected_auth: frozenset[str]
@@ -88,6 +95,8 @@ def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance
 
 def _check_kinds(schema: WorkflowSchema) -> None:
     for i, c in enumerate(schema.constraints):
+        if c.kind in _ALWAYS_CLOSED:
+            continue
         regular, closed = classification(c)
         if not regular or not closed:
             raise ClassificationError(
@@ -108,29 +117,34 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
 
     Each constraint's ineligible tasks (those whose singleton {s} is
     ineligible) are found once, and again after each rewrite; a min-heap
-    holds each constraint's smallest such (task, constraint) pair by
-    declaration index. An ``eq`` over two distinct tasks is held as its
-    current endpoints instead: both singletons are ineligible and each
-    one's required addition is the other endpoint, so it is queued at its
-    smaller endpoint with no eligibility work. At a popped pair (s, c)
-    whose task is still ineligible, s absorbs the first required addition
-    in declaration order. That addition lies in c's scope, so c is
-    rewritten along with every other constraint naming the absorbed task:
-    such an ``eq`` has the absorbed task replaced by s, or is dropped if
-    its other endpoint is s, and every other constraint is rebuilt. Each
-    rewritten constraint queues its smallest ineligible pair again. A
-    constraint that was not rewritten keeps its verdict and its queued
-    pair, so every merge happens at the smallest ineligible pair of the
-    current schema, and the merge log is the one a rescan from the first
-    task after each merge would give. At most k-1 merges happen. The work
-    is one ``ineligible_singletons`` call per other constraint and per
-    rewrite of one, at most one heap push per ``eq`` rewrite, and at most
-    one heap pop per push; there is no pop at all when every singleton is
-    eligible. A singleton with no eligible superset makes the instance
+    of (task index, constraint index) entries holds each constraint's
+    smallest such pair by declaration order. An ``eq`` over two distinct
+    tasks is held as its current endpoints instead: both singletons are
+    ineligible and each one's required addition is the other endpoint, so
+    it is pushed at its smaller endpoint index with no eligibility work.
+    Entries are never removed early: a popped entry is skipped unless it is
+    still current, that is, its task is still an endpoint of the ``eq`` or
+    still in the constraint's ineligible set. Every constraint's smallest
+    current pair stays in the heap, so the first current entry popped is
+    the smallest ineligible pair of the schema. There, s absorbs the first
+    required addition in declaration order. That addition lies in c's
+    scope, so c is rewritten along with every other constraint naming the
+    absorbed task: such an ``eq`` has the absorbed task replaced by s, or
+    is dropped if its other endpoint is s, and every other constraint is
+    rebuilt. Each rewritten constraint pushes its smallest ineligible pair
+    again. A constraint that was not rewritten keeps its verdict and its
+    entries, so the merge log is the one a rescan from the first task
+    after each merge would give. At most k-1 merges happen. The work is
+    one ``ineligible_singletons`` call per other constraint and per
+    rewrite of one, at most one heap push per constraint and per rewrite,
+    and one heap pop per push; there is no pop at all when every singleton
+    is eligible. A singleton with no eligible superset makes the instance
     trivially unsatisfiable.
     """
     _check_kinds(schema)
+    tasks = schema.tasks
     index = schema.task_index
+    outside = len(tasks)  # the index of a task outside the schema
     auth = dict(schema.auth)
     constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
     # eq constraints over two distinct tasks, as their current endpoints,
@@ -139,20 +153,14 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     occurs: dict[str, set[int]] = {}
     ineligible: dict[int, frozenset[str]] = {}
     heap: list[tuple[int, int]] = []
-    queued: set[tuple[int, int]] = set()
     merges: list[MergeRecord] = []
 
-    def push(tasks: Iterable[str], i: int) -> None:
-        # a task outside the schema is never popped
-        first = min((index[t] for t in tasks if t in index), default=None)
-        if first is not None and (first, i) not in queued:
-            queued.add((first, i))
-            heappush(heap, (first, i))
-
     def queue(i: int) -> None:
-        ineligible[i] = ineligible_singletons(constraints[i])
-        if ineligible[i]:
-            push(ineligible[i], i)
+        ineligible[i] = found = ineligible_singletons(constraints[i])
+        if found:
+            first = min((index[t] for t in found if t in index), default=outside)
+            if first < outside:
+                heappush(heap, (first, i))
 
     def result(unsatisfiable: bool) -> EqualityEliminationResult:
         if not merges:
@@ -160,7 +168,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
         for i, ends in pairs.items():
             constraints[i] = ends and ConstraintInstance(EQ2, scope=ends)
         reduced = WorkflowSchema(
-            tasks=tuple(t for t in schema.tasks if t in auth),
+            tasks=tuple(t for t in tasks if t in auth),
             users=schema.users,
             auth=auth,
             constraints=tuple(c for c in constraints if c is not None),
@@ -171,14 +179,17 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
         for t in c.scope_set:
             occurs.setdefault(t, set()).add(i)
         if c.kind == EQ2 and c.scope[0] != c.scope[1]:
-            pairs[i] = c.scope
-            push(c.scope, i)
+            pairs[i] = ends = c.scope
+            a, b = index.get(ends[0], outside), index.get(ends[1], outside)
+            first = a if a < b else b
+            # an eq with no endpoint in the schema is never popped
+            if first < outside:
+                heappush(heap, (first, i))
         else:
             queue(i)
     while heap:
-        entry = heappop(heap)
-        queued.discard(entry)
-        s, i = schema.tasks[entry[0]], entry[1]
+        first, i = heappop(heap)
+        s = tasks[first]
         if i in pairs:
             ends = pairs[i]
             if ends is None or s not in ends:
@@ -195,22 +206,24 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
             partner = schema.sort_tasks(additions)[0]
         if partner not in auth:
             raise DomainError("both tasks must belong to the schema")
-        auth[s] = auth[s] & auth.pop(partner)
-        merges.append(MergeRecord(s, partner, auth[s]))
+        auth[s] = merged = auth[s] & auth.pop(partner)
+        merges.append(MergeRecord(s, partner, merged))
+        survivor = occurs[s]
         # a dropped pair names no task, so it is in no occurs set
         for j in occurs.pop(partner):
             ends = pairs.get(j)
             if ends is None:
                 constraints[j] = _substitute(constraints[j], partner, s)
-                occurs[s].add(j)
+                survivor.add(j)
                 queue(j)
             elif s in ends:
                 pairs[j] = None
-                occurs[s].discard(j)
+                survivor.discard(j)
             else:
-                pairs[j] = ends = (s, ends[1]) if ends[0] == partner else (ends[0], s)
-                occurs[s].add(j)
-                push(ends, j)
+                pairs[j] = (s, ends[1]) if ends[0] == partner else (ends[0], s)
+                survivor.add(j)
+                # no current pair lies below s, so s is the smaller endpoint
+                heappush(heap, (first, j))
     return result(unsatisfiable=False)
 
 

@@ -263,15 +263,26 @@ class TestClassify:
         ["--kind", "eq", "--params", "3"],
         ["--kind", "neq", "--arity", "2", "--params", "1,2"],
         ["--kind", "atmost", "--params", "2,3"],
+        ["--kind", "atmost", "--split", "2"],
+        ["--kind", "eq", "--split", "1"],
+        ["--kind", "peruser", "--split", "1"],
     ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative",
             "bind-split-negative", "sep-split-0", "bind-split-arity", "sep-arity-1",
-            "neq-arity-5", "eq-arity-1", "eq-params", "neq-params", "atmost-two-bounds"])
+            "neq-arity-5", "eq-arity-1", "eq-params", "neq-params", "atmost-two-bounds",
+            "atmost-split", "eq-split", "peruser-split"])
     def test_bad_arguments(self, capsys, args):
         assert main(["classify", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("kind", ["bind", "sep"])
+    def test_split_defaults_to_one(self, capsys, kind):
+        assert main(["classify", "--kind", kind]) == 0
+        default = capsys.readouterr().out
+        assert main(["classify", "--kind", kind, "--split", "1"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestReduce:

@@ -1,5 +1,6 @@
 """Text formats: instances, plans, relation specs, MCHS, DIMACS, kernel logs."""
 
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -82,6 +83,12 @@ class TestInstanceFormat:
         schema = formats.parse_instance(text)
         assert schema.constraints[0].scope == ("a", "b", "c")
         assert schema.constraints[1].scope_sets == (("a",), ("b", "c"))
+
+    @pytest.mark.parametrize("token", ["{a,,b}", "{a,}", "{,a}"])
+    def test_empty_task_name_rejected(self, token):
+        text = f"tasks: a b\nusers: u\nconstraint atmost 1 {token}\n"
+        with pytest.raises(ParseError, match=re.escape(repr(token))):
+            formats.parse_instance(text)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))

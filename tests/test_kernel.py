@@ -1,7 +1,7 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 from unittest import mock
 
@@ -790,6 +790,125 @@ def test_whole_scope_closure_merges_in_polynomial_checks(monkeypatch, make):
     assert len(result.merge_log) == 29
     assert result.schema.tasks == ("t0",)
     assert calls <= 4 * len(tasks)
+
+
+def merge_shaped_schema(seed, groups, pigeonhole):
+    """240 tasks over 600 users in `groups` random equality trees, with
+    neq, sep and peruser 1 h constraints across trees. The pigeonhole
+    variant makes the trees pairwise neq and authorizes the first task of
+    each for the same groups - 1 users only."""
+    rng = random.Random(seed)
+    tasks = [f"t{i}" for i in range(240)]
+    users = [f"u{i}" for i in range(600)]
+    shuffled = rng.sample(tasks, len(tasks))
+    trees = [shuffled[g::groups] for g in range(groups)]
+    auth = {t: set(rng.sample(users, 12)) for t in tasks}
+    constraints = [equality(tree[i], rng.choice(tree[:i]))
+                   for tree in trees for i in range(1, len(tree))]
+    for _ in range(15):
+        picked = [rng.choice(tree) for tree in rng.sample(trees, rng.randint(2, 4))]
+        kind = rng.choice(("neq", "sep", "peruser"))
+        if kind == "neq":
+            constraints.append(disequality(*picked[:2]))
+        elif kind == "sep":
+            split = rng.randint(1, len(picked) - 1)
+            constraints.append(separation(picked[:split], picked[split:]))
+        else:
+            constraints.append(per_user(1, rng.randint(1, 3), picked))
+    if pigeonhole:
+        core = set(rng.sample(users, groups - 1))
+        for tree in trees:
+            auth[tree[0]] = core
+        constraints += [disequality(rng.choice(a), rng.choice(b))
+                        for a, b in combinations(trees, 2)]
+    rng.shuffle(constraints)
+    return WorkflowSchema(tasks, users, auth, constraints)
+
+
+@pytest.mark.parametrize("pigeonhole", [False, True], ids=["planted", "pigeonhole"])
+@pytest.mark.parametrize("groups", [6, 7, 8])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_elimination_matches_restart_scan_on_merge_shaped_schemas(seed, groups, pigeonhole):
+    schema = merge_shaped_schema(seed, groups, pigeonhole)
+    fast = eliminate_equalities(schema)
+    slow = restart_scan_eliminate_equalities(schema)
+    assert len(fast.merges) == 240 - groups
+    assert fast.merges == slow.merges
+    assert fast.unsatisfiable == slow.unsatisfiable
+    assert serialize_instance(fast.schema) == serialize_instance(slow.schema)
+
+
+class TestStaleHeapEntries:
+    """Heap entries are not removed when their pair stops being current;
+    the pop skips them."""
+
+    def eliminate(self, monkeypatch, tasks, constraints):
+        schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks}, constraints)
+        calls = count_worklist(monkeypatch)
+        result = eliminate_equalities(schema)
+        slow = restart_scan_eliminate_equalities(schema)
+        assert result.merges == slow.merges
+        assert result.unsatisfiable == slow.unsatisfiable
+        assert serialize_instance(result.schema) == serialize_instance(slow.schema)
+        return result, calls["pops"]
+
+    def test_queued_task_absorbed_by_an_equality(self, monkeypatch):
+        # eq(b, c) is queued at b, then a absorbs b through eq(a, b)
+        result, pops = self.eliminate(monkeypatch, ("a", "b", "c"),
+                                      (equality("b", "c"), equality("a", "b")))
+        assert [r[:2] for r in result.merges] == [("a", "b"), ("a", "c")]
+        assert pops == 3
+
+    def test_queued_task_absorbed_from_another_kind(self, monkeypatch):
+        # atmost 1 {b, c} is queued at b; its rewrite queues it again at a
+        result, pops = self.eliminate(monkeypatch, ("a", "b", "c"),
+                                      (at_most(1, ("b", "c")), equality("a", "b")))
+        assert [r[:2] for r in result.merges] == [("a", "b"), ("a", "c")]
+        assert result.schema.tasks == ("a",)
+        assert pops == 3
+
+    def test_queued_task_made_eligible_by_a_rewrite(self, monkeypatch):
+        # both copies are queued at a; the first merge leaves each over {a}
+        # alone, where {a} is eligible, while a is still in the schema
+        result, pops = self.eliminate(monkeypatch, ("a", "b"),
+                                      (at_most(1, ("b", "a")), at_most(1, ("b", "a"))))
+        assert [r[:2] for r in result.merges] == [("a", "b")]
+        assert not result.unsatisfiable
+        assert pops == 2
+
+    def test_two_equalities_over_one_pair(self, monkeypatch):
+        result, pops = self.eliminate(monkeypatch, ("a", "b"),
+                                      (equality("a", "b"), equality("b", "a")))
+        assert [r[:2] for r in result.merges] == [("a", "b")]
+        assert result.schema.constraints == ()
+        assert pops == 2
+
+    def test_equality_outside_the_schema_is_kept(self, monkeypatch):
+        result, pops = self.eliminate(monkeypatch, ("a", "b"),
+                                      (equality("x", "y"), equality("a", "b")))
+        assert result.schema.constraints == (equality("x", "y"),)
+        assert pops == 1
+
+    @pytest.mark.parametrize("constraints", [
+        (equality("a", "x"),),
+        (equality("b", "x"), equality("a", "b")),
+    ], ids=["declared", "rewritten"])
+    def test_equality_naming_a_task_outside_the_schema(self, constraints):
+        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}}, constraints)
+        with pytest.raises(DomainError, match="both tasks must belong to the schema"):
+            eliminate_equalities(schema)
+        with pytest.raises(DomainError, match="both tasks must belong to the schema"):
+            restart_scan_eliminate_equalities(schema)
+
+
+def test_merge_record_fields_by_name_and_position():
+    schema = WorkflowSchema(("a", "b"), ("u", "v"), {"a": {"u", "v"}, "b": {"u"}},
+                            (equality("a", "b"),))
+    (record,) = eliminate_equalities(schema).merges
+    surviving, absorbed, intersected = record
+    assert (surviving, absorbed, intersected) == ("a", "b", frozenset({"u"}))
+    assert (record.surviving, record.absorbed, record.intersected_auth) == tuple(record)
+    assert record == MergeRecord("a", "b", frozenset({"u"}))
 
 
 def chained_authorization(k):
