@@ -145,16 +145,11 @@ def is_intersection_closed(spec: RelationSpec) -> IntersectionClosureResult:
     if not is_regular(spec).regular:
         raise ClassificationError("intersection-closure is defined for regular relations")
     family = eligible_sets(spec)
-    best = None
-    for a in family:
-        for b in family:
-            if (a & b) not in family:
-                pair = tuple(sorted((a, b), key=sorted))
-                key = (sorted(pair[0]), sorted(pair[1]))
-                if best is None or key < best[0]:
-                    best = (key, pair)
-    if best is not None:
-        return IntersectionClosureResult(False, witness=best[1])
+    failing = [tuple(sorted((a, b), key=sorted))
+               for a in family for b in family if (a & b) not in family]
+    if failing:
+        witness = min(failing, key=lambda pair: [sorted(s) for s in pair])
+        return IntersectionClosureResult(False, witness=witness)
     return IntersectionClosureResult(True)
 
 

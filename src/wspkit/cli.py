@@ -23,6 +23,14 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _write_out(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load_schema(path: str):
     schema = formats.parse_instance(_read(path))
     report = validate_schema(schema)
@@ -40,11 +48,7 @@ def cmd_solve(args) -> int:
     print(f"status: {outcome.status}")
     if not outcome.satisfiable:
         return 1
-    text = formats.serialize_plan(outcome.plan, schema.tasks)
-    if args.plan_out:
-        Path(args.plan_out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(formats.serialize_plan(outcome.plan, schema.tasks), args.plan_out)
     return 0
 
 
@@ -84,6 +88,8 @@ def _spec_from_args(args) -> cls.RelationSpec:
         cls.check_arity(spec.arity, args.arity_cap)
         return spec
     kind = args.kind
+    if not kind:
+        raise WspError("classify needs a spec file or --kind")
     entry = CATALOG.get(kind)
     if entry is None:
         raise WspError(f"unknown kind {kind!r}")
@@ -158,11 +164,7 @@ def cmd_reduce(args) -> int:
             f"colors: {inst.num_colors} sets: {len(inst.sets)}",
             f"tasks: {len(schema.tasks)} constraints: {len(schema.constraints)}",
         ]
-    text = formats.serialize_instance(schema, header)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(formats.serialize_instance(schema, header), args.out)
     for line in header:
         print(f"# {line}", file=sys.stderr)
     return 0
@@ -178,11 +180,7 @@ def cmd_generate(args) -> int:
         f"constraints={args.constraints}",
         f"kinds={args.kinds} density={args.density} seed={args.seed}",
     ]
-    text = formats.serialize_instance(schema, header)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(formats.serialize_instance(schema, header), args.out)
     return 0
 
 
@@ -245,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "classify" and not args.spec and not args.kind:
-        print("error: classify needs a spec file or --kind", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (WspError, OSError) as exc:

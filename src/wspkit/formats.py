@@ -65,6 +65,13 @@ def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:
     shape, bounds = entry
     arguments = bounds + 1 if shape == COUNT else 2
     if len(args) != arguments + 1:
+        # a task set written with spaces splits into several tokens
+        opened = next((i for i, a in enumerate(args) if "{" in a and "}" not in a), None)
+        if opened is not None:
+            rest = args[opened:]
+            closed = next((i for i, a in enumerate(rest) if "}" in a), len(rest))
+            written = " ".join(rest[:closed + 1])
+            raise ParseError(f"task set {written!r} has spaces; write sets without spaces")
         raise ParseError(f"{kind} takes {arguments} arguments, got {len(args) - 1}")
     try:
         if shape == PAIR:

@@ -1,34 +1,15 @@
 """Partial kernel for regular intersection-closed instances.
 
-Three phases: equality elimination by task merging, user marking via
-systems of distinct representatives, and discarding unmarked users. The
-result has at most as many tasks and constraints as the input and at most
-as many users as tasks. A plan-extension procedure certifies correctness
-and a lift operation replays merges to recover plans for the original
-schema.
-
-Equality elimination works from a min-heap of (task index, constraint
-index) pairs. It pushes only pairs whose singleton is ineligible, found
-per constraint by ``ineligible_singletons``, and of those only each
-constraint's first. An ``eq`` over two distinct tasks is held as its two
-endpoints, not as a constraint: both its singletons are ineligible and
-each one's required addition is the other endpoint, so it needs no
-eligibility work. A merge rewrites only the constraints that name the
-absorbed task and pushes their first ineligible pairs again; an ``eq``
-gets the survivor in place of the absorbed task, or is dropped once both
-its endpoints are merged. Every other constraint keeps its verdict. Heap
-entries are deleted lazily: an entry whose pair stopped being ineligible
-stays until it is popped and skipped. Each constraint's smallest
-ineligible pair is always in the heap, so the first entry popped that is
-still ineligible is the first ineligible pair in declaration order,
-exactly where a rescan of the whole schema would find it, and the merge
-log is that of the rescan. The work is at most one heap push per
-constraint and per rewrite, one ``ineligible_singletons`` call per
-constraint other than an ``eq`` and per rewrite of one, and one heap pop
-per push, not a rescan per merge; a schema with no ineligible pair pops
-nothing. Marking makes one maximum matching: its deficient set gives the
-hard tasks and the violator users, and its partners of the other tasks
-are the representatives.
+Three phases. Equality elimination merges tasks until every singleton is
+eligible for every constraint (its worklist is described in
+``eliminate_equalities``). User marking keeps the users that one maximum
+matching covers: the Hall violators of the hard tasks and a distinct
+representative of every other task. Kernelization then drops the unmarked
+users and duplicate constraints, so the result has at most as many tasks
+and constraints as the input and at most as many users as tasks; a
+trivially unsatisfiable instance marks no user and keeps none. Plan
+extension certifies the marking, and lifting replays the merges to turn a
+plan of the kernel into one of the input.
 """
 
 from __future__ import annotations
@@ -262,52 +243,35 @@ def mark_users(schema: WorkflowSchema) -> MarkingResult:
     )
 
 
-def _dedup_constraints(schema: WorkflowSchema) -> WorkflowSchema:
-    seen: set[tuple] = set()
-    kept = []
-    for c in schema.constraints:
-        key = c.dedup_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(c)
-    if len(kept) == len(schema.constraints):
-        return schema
-    return WorkflowSchema(schema.tasks, schema.users, dict(schema.auth), tuple(kept))
+def _dedup_constraints(
+    constraints: tuple[ConstraintInstance, ...]
+) -> tuple[ConstraintInstance, ...]:
+    kept: dict[tuple, ConstraintInstance] = {}
+    for c in constraints:
+        kept.setdefault(c.dedup_key(), c)
+    return tuple(kept.values())
 
 
 def kernelize(schema: WorkflowSchema) -> KernelResult:
     """Reduce a regular intersection-closed instance to at most k users.
 
     The reduced schema has k' <= k tasks, n' <= k' users, and m' <= m
-    constraints, and is satisfiable iff the input is. Raises
-    ClassificationError if some constraint kind does not qualify.
+    constraints, and is satisfiable iff the input is. A trivially
+    unsatisfiable instance (elimination dead-ended, or a merged task has no
+    authorized user) marks no user, so its kernel keeps the tasks and
+    constraints and has no users. Raises ClassificationError if some
+    constraint kind does not qualify.
     """
     elim = eliminate_equalities(schema)
-    merged = _dedup_constraints(elim.schema)
-    if elim.unsatisfiable or any(not merged.auth[t] for t in merged.tasks):
-        # emit an unsatisfiable schema within the size bounds: same tasks
-        # and constraints, no users at all
-        stripped = WorkflowSchema(
-            merged.tasks, (), {t: frozenset() for t in merged.tasks},
-            merged.constraints,
-        )
-        return KernelResult(
-            schema=stripped,
-            marked=(),
-            hard=(),
-            representatives={},
-            merge_log=elim.merges,
-            verdict=TRIVIALLY_UNSAT,
-            user_order=schema.users,
-        )
-    marking = mark_users(merged)
-    marked_set = set(marking.marked)
+    merged = elim.schema
+    trivial = elim.unsatisfiable or any(not merged.auth[t] for t in merged.tasks)
+    marking = MarkingResult((), (), {}) if trivial else mark_users(merged)
+    marked = set(marking.marked)
     reduced = WorkflowSchema(
         tasks=merged.tasks,
-        users=tuple(u for u in merged.users if u in marked_set),
-        auth={t: merged.auth[t] & marked_set for t in merged.tasks},
-        constraints=merged.constraints,
+        users=tuple(u for u in merged.users if u in marked),
+        auth={t: merged.auth[t] & marked for t in merged.tasks},
+        constraints=_dedup_constraints(merged.constraints),
     )
     return KernelResult(
         schema=reduced,
@@ -315,7 +279,7 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
         hard=marking.hard,
         representatives=dict(marking.representatives),
         merge_log=elim.merges,
-        verdict=REDUCED,
+        verdict=TRIVIALLY_UNSAT if trivial else REDUCED,
         user_order=schema.users,
     )
 
@@ -327,9 +291,12 @@ def extend_partial_plan(
 ) -> Optional[Plan]:
     """Extend an authorized partial plan on the hard tasks to a valid plan.
 
-    Repeatedly absorbs required additions into ineligible blocks, rejecting
-    when an addition is already assigned elsewhere or unauthorized, then
-    pads the remaining tasks with their distinct representatives. Returns
+    Grows each block of the partial plan to its own fixpoint by absorbing
+    the required additions of every constraint it meets ineligibly,
+    rejecting when an addition is already assigned or unauthorized, then
+    pads the remaining tasks with their distinct representatives. For
+    intersection-closed constraints each block's closure is unique, so the
+    result does not depend on the order the blocks are grown in. Returns
     the complete plan or None if no extension exists.
     """
     assignment = dict(partial.items())
@@ -340,12 +307,14 @@ def extend_partial_plan(
     blocks: dict[str, set[str]] = {}
     for t, u in assignment.items():
         blocks.setdefault(u, set()).add(t)
-    changed = True
-    while changed:
-        changed = False
-        for user, block in blocks.items():
+    for user, block in blocks.items():
+        # an ineligible part's closure is a strict superset of it, so the
+        # block is at its fixpoint once a pass over the constraints adds no task
+        size = 0
+        while size < len(block):
+            size = len(block)
             for c in schema.constraints:
-                part = block & set(c.scope_set)
+                part = block.intersection(c.scope_set)
                 if not part or eligible_set(c, part):
                     continue
                 try:
@@ -353,16 +322,10 @@ def extend_partial_plan(
                 except DeadEndError:
                     return None
                 for s in schema.sort_tasks(additions):
-                    if s in assignment:
-                        return None
-                    if user not in schema.auth[s]:
+                    if s in assignment or user not in schema.auth[s]:
                         return None
                     assignment[s] = user
                     block.add(s)
-                changed = True
-                break
-            if changed:
-                break
     for t in schema.tasks:
         if t not in assignment:
             if t not in representatives:

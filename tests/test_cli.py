@@ -155,6 +155,15 @@ class TestKernelize:
         assert main(["kernelize", str(path), "--out",
                      str(tmp_path / "o.wsp")]) == 2
 
+    def test_set_written_with_spaces(self, tmp_path, capsys):
+        path = tmp_path / "spaced.wsp"
+        path.write_text("tasks: a b\nusers: u\nauth a: u\nauth b: u\n"
+                        "constraint sep {a} {b, a}\n")
+        assert main(["kernelize", str(path), "--out", str(tmp_path / "o.wsp")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: task set '{b, a}' has spaces; "
+                                "write sets without spaces\n")
+
     def test_long_chained_authorization(self, tmp_path, capsys):
         # t0: u0, ti: u(i-1) ui; matching the tasks in order walks
         # augmenting paths as long as the chain
@@ -212,6 +221,13 @@ class TestClassify:
 
     def test_needs_spec_or_kind(self, capsys):
         assert main(["classify"]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["--kind", ""]], ids=["none", "empty"])
+    def test_needs_spec_or_kind_message(self, capsys, argv):
+        assert main(["classify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: classify needs a spec file or --kind\n")
 
     def test_malformed_spec_position(self, tmp_path, capsys):
         path = tmp_path / "rel.spec"

@@ -90,6 +90,17 @@ class TestInstanceFormat:
         with pytest.raises(ParseError, match=re.escape(repr(token))):
             formats.parse_instance(text)
 
+    @pytest.mark.parametrize("line,written", [
+        ("atmost 1 {a, b}", "{a, b}"),
+        ("sep {a, b} {c}", "{a, b}"),
+        ("bind {a} { b,c }", "{ b,c }"),
+    ], ids=["atmost", "sep", "bind"])
+    def test_set_written_with_spaces(self, line, written):
+        text = f"tasks: a b c\nusers: u\nconstraint {line}\n"
+        message = f"task set {written!r} has spaces; write sets without spaces"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            formats.parse_instance(text)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_generated_instances_round_trip(self, seed):
@@ -213,6 +224,14 @@ class TestRelationSpecFormat:
     def test_requires_arity_line(self):
         with pytest.raises(ParseError):
             formats.parse_relation_spec("{1,2}|{3}\n")
+
+    def test_spaces_inside_a_set(self):
+        # lines split on '|' only, so a set keeps its spaces; each position
+        # is stripped, and a blank one is an empty name
+        spec = formats.parse_relation_spec("arity 3\n{1,2}|{3}\n")
+        assert formats.parse_relation_spec("arity 3\n{1, 2}|{3}\n") == spec
+        with pytest.raises(ParseError, match="empty task name"):
+            formats.parse_relation_spec("arity 3\n{1, ,2}|{3}\n")
 
     def test_non_integer_position(self):
         with pytest.raises(ParseError, match="x"):

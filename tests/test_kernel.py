@@ -197,6 +197,24 @@ class TestKernelize:
         schema = WorkflowSchema(("a",), ("u",), {"a": set()})
         assert kernelize(schema).verdict == TRIVIALLY_UNSAT
 
+    def test_trivially_unsat_kernel_keeps_tasks_and_deduplicated_constraints(self):
+        # the merge empties a's authorization; neq c b becomes a duplicate
+        # of neq a c, and neq a c is also declared twice
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u", "v", "w"),
+            {"a": {"u"}, "b": {"v", "w"}, "c": {"u", "w"}},
+            (disequality("a", "c"), equality("a", "b"), disequality("c", "b"),
+             disequality("a", "c")),
+        )
+        result = kernelize(schema)
+        assert result.verdict == TRIVIALLY_UNSAT
+        assert serialize_instance(result.schema) == (
+            "tasks: a c\nusers: \nauth a: \nauth c: \nconstraint neq a c\n"
+        )
+        assert serialize_kernel_log(result) == (
+            "MERGES\nb -> a : \nMARKED\n\nHARD\n\nREPS\n"
+        )
+
     def test_rejects_atmost(self):
         schema = WorkflowSchema(
             ("a", "b", "c"), ("u",), {t: {"u"} for t in "abc"},
@@ -321,6 +339,24 @@ class TestExtendPartialPlan:
         )
         plan = extend_partial_plan(schema, Plan({"a": "u", "b": "u"}), {})
         assert plan is None
+
+    def test_block_closure_needs_a_second_pass(self):
+        # eq b c meets the block only after eq a b has added b to it
+        schema = WorkflowSchema(
+            ("a", "b", "c", "d"), ("u", "v"), {t: {"u", "v"} for t in "abcd"},
+            (equality("b", "c"), equality("a", "b")),
+        )
+        plan = extend_partial_plan(schema, Plan({"a": "u"}), {"d": "v"})
+        assert plan is not None
+        assert dict(plan.items()) == {"a": "u", "b": "u", "c": "u", "d": "v"}
+
+    @pytest.mark.parametrize("partial", [{"a": "u", "c": "v"}, {"c": "v", "a": "u"}])
+    def test_blocks_claiming_one_task_rejected(self, partial):
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u", "v"), {t: {"u", "v"} for t in "abc"},
+            (equality("a", "b"), equality("c", "b")),
+        )
+        assert extend_partial_plan(schema, Plan(partial), {}) is None
 
 
 class TestLiftPlan:
