@@ -197,7 +197,7 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
         return True
     r = len(scope)
     if c.kind == EQ2:
-        return block == scope
+        return len(block) == r
     if c.kind == NEQ2:
         return r == 2 and len(block) == 1
     if c.kind == BIND:
@@ -206,11 +206,10 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
             return True
         return bool((block & left and block & right)
                     or (left - block and right - block))
-    if c.kind == SEP:
-        union = set(c.scope_sets[0]) | set(c.scope_sets[1])
-        return len(union) >= 2 and not union <= block
+    if c.kind == SEP:  # the scope is the union of the two sides
+        return r >= 2 and len(block) < r
     if c.kind == ATMOST:
-        return c.params[0] >= 2 or block == scope
+        return c.params[0] >= 2 or len(block) == r
     if c.kind == ATLEAST:
         return 1 + (r - len(block)) >= c.params[0]
     t_low, t_high = c.params

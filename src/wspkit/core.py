@@ -42,13 +42,8 @@ class ConstraintInstance:
     params: tuple[int, ...] = ()
     scope: tuple[str, ...] = ()
     scope_sets: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
-    # Cache of scope_set. Declared, so every instance holds it from __init__
-    # on: a cache first added to the instance __dict__ on use (as a
-    # cached_property does) made every later attribute read slower in the
-    # solver's eligibility loop.
-    _scope_set: Optional[tuple[str, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # distinct scope tasks in order of first occurrence
+    scope_set: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entry = CATALOG.get(self.kind)
@@ -71,13 +66,7 @@ class ConstraintInstance:
             )
         elif not self.scope:
             raise DomainError(f"{self.kind} requires a nonempty scope")
-
-    @property
-    def scope_set(self) -> tuple[str, ...]:
-        """Distinct scope tasks in order of first occurrence, computed once."""
-        if self._scope_set is None:
-            object.__setattr__(self, "_scope_set", _dedup(self.scope))
-        return self._scope_set
+        object.__setattr__(self, "scope_set", _dedup(self.scope))
 
     @property
     def arity(self) -> int:
@@ -238,6 +227,11 @@ def describe(c: ConstraintInstance, order: Callable = tuple) -> str:
         left, right = c.scope_sets
         return "%s {%s} {%s}" % (c.kind, ",".join(order(left)), ",".join(order(right)))
     return "%s %s {%s}" % (c.kind, " ".join(map(str, c.params)), ",".join(order(c.scope)))
+
+
+def unknown_task(i: int, c: ConstraintInstance, task: str) -> DomainError:
+    """The error for constraint #i naming a task outside the schema."""
+    return DomainError(f"constraint #{i} ({describe(c)}) names unknown task {task!r}")
 
 
 @dataclass(frozen=True)

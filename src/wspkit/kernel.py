@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, NamedTuple, Optional
+from typing import Collection, Mapping, NamedTuple, Optional
 
 from wspkit.constraints import (
     classification,
@@ -33,8 +33,9 @@ from wspkit.core import (
     WorkflowSchema,
     describe,
     is_valid_plan,
+    unknown_task,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.errors import ClassificationError, ContractError, DeadEndError
 from wspkit.matching import hall_violator, maximum_matching
 
 # kinds that are regular and intersection-closed whatever their scope
@@ -96,58 +97,43 @@ class EqualityEliminationResult:
 def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     """Merge tasks until every singleton is eligible for every constraint.
 
-    Each constraint's ineligible tasks (those whose singleton {s} is
-    ineligible) are found once, and again after each rewrite; a min-heap
-    of (task index, constraint index) entries holds each constraint's
-    smallest such pair by declaration order. An ``eq`` over two distinct
-    tasks is held as its current endpoints instead: both singletons are
-    ineligible and each one's required addition is the other endpoint, so
-    it is pushed at its smaller endpoint index with no eligibility work.
-    Entries are never removed early: a popped entry is skipped unless it is
-    still current, that is, its task is still an endpoint of the ``eq`` or
-    still in the constraint's ineligible set. Every constraint's smallest
-    current pair stays in the heap, so the first current entry popped is
-    the smallest ineligible pair of the schema. There, s absorbs the first
-    required addition in declaration order. That addition lies in c's
-    scope, so c is rewritten along with every other constraint naming the
-    absorbed task: such an ``eq`` has the absorbed task replaced by s, or
-    is dropped if its other endpoint is s, and every other constraint is
-    rebuilt. Each rewritten constraint pushes its smallest ineligible pair
-    again. A constraint that was not rewritten keeps its verdict and its
-    entries, so the merge log is the one a rescan from the first task
-    after each merge would give. At most k-1 merges happen. The work is
-    one ``ineligible_singletons`` call per other constraint and per
-    rewrite of one, at most one heap push per constraint and per rewrite,
-    and one heap pop per push; there is no pop at all when every singleton
-    is eligible. A singleton with no eligible superset makes the instance
-    trivially unsatisfiable.
+    ``ineligible[i]`` holds the tasks of constraint i whose singleton is not
+    an eligible set; for an ``eq`` over two distinct tasks, its current
+    endpoints, each the other's required addition. A min-heap of (task
+    index, i) entries holds each constraint's smallest such task, and a
+    popped entry whose task is no longer in ``ineligible[i]`` is stale and
+    skipped, so the first current entry popped is the smallest ineligible
+    pair of the schema. There, s absorbs the first required addition in
+    declaration order, and every constraint naming the absorbed task is
+    rewritten and queued again, except an ``eq`` between the two, which is
+    dropped. So the merge log is the one a rescan from the first task after
+    each merge would give. A singleton with no eligible superset makes the
+    instance trivially unsatisfiable. Raises DomainError if a constraint
+    names a task outside the schema, then ClassificationError if some
+    constraint kind does not qualify, both before any merge.
     """
-    _check_kinds(schema)
     tasks = schema.tasks
     index = schema.task_index
-    outside = len(tasks)  # the index of a task outside the schema
     auth = dict(schema.auth)
     constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
-    # eq constraints over two distinct tasks, as their current endpoints,
-    # or None once their endpoints are merged
-    pairs: dict[int, Optional[tuple[str, str]]] = {}
+    # the eq constraints over two distinct tasks not yet merged; their
+    # current endpoints are their ineligible tasks
+    pairs: set[int] = set()
     occurs: dict[str, set[int]] = {}
-    ineligible: dict[int, frozenset[str]] = {}
+    ineligible: dict[int, Collection[str]] = {}
     heap: list[tuple[int, int]] = []
     merges: list[MergeRecord] = []
 
     def queue(i: int) -> None:
         ineligible[i] = found = ineligible_singletons(constraints[i])
         if found:
-            first = min((index[t] for t in found if t in index), default=outside)
-            if first < outside:
-                heappush(heap, (first, i))
+            heappush(heap, (min(index[t] for t in found), i))
 
     def result(unsatisfiable: bool) -> EqualityEliminationResult:
         if not merges:
             return EqualityEliminationResult(schema, (), unsatisfiable)
-        for i, ends in pairs.items():
-            constraints[i] = ends and ConstraintInstance(EQ2, scope=ends)
+        for i in pairs:
+            constraints[i] = ConstraintInstance(EQ2, scope=ineligible[i])
         reduced = WorkflowSchema(
             tasks=tuple(t for t in tasks if t in auth),
             users=schema.users,
@@ -158,50 +144,47 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
 
     for i, c in enumerate(constraints):
         for t in c.scope_set:
+            if t not in index:
+                raise unknown_task(i, c, t)
             occurs.setdefault(t, set()).add(i)
         if c.kind == EQ2 and c.scope[0] != c.scope[1]:
-            pairs[i] = ends = c.scope
-            a, b = index.get(ends[0], outside), index.get(ends[1], outside)
-            first = a if a < b else b
-            # an eq with no endpoint in the schema is never popped
-            if first < outside:
-                heappush(heap, (first, i))
+            pairs.add(i)
+            ineligible[i] = c.scope
+            heappush(heap, (min(index[t] for t in c.scope), i))
         else:
             queue(i)
+    _check_kinds(schema)
     while heap:
         first, i = heappop(heap)
         s = tasks[first]
+        if s not in ineligible[i]:
+            continue
         if i in pairs:
-            ends = pairs[i]
-            if ends is None or s not in ends:
-                continue
+            ends = ineligible[i]
             partner = ends[1] if ends[0] == s else ends[0]
         else:
-            # each rewrite refreshes the set, and an absorbed task is in none
-            if s not in ineligible[i]:
-                continue
             try:
                 additions = required_additions(constraints[i], {s})
             except DeadEndError:
                 return result(unsatisfiable=True)
             partner = schema.sort_tasks(additions)[0]
-        if partner not in auth:
-            raise DomainError("both tasks must belong to the schema")
         auth[s] = merged = auth[s] & auth.pop(partner)
         merges.append(MergeRecord(s, partner, merged))
         survivor = occurs[s]
         # a dropped pair names no task, so it is in no occurs set
         for j in occurs.pop(partner):
-            ends = pairs.get(j)
-            if ends is None:
+            if j not in pairs:
                 constraints[j] = _substitute(constraints[j], partner, s)
                 survivor.add(j)
                 queue(j)
-            elif s in ends:
-                pairs[j] = None
+            elif s in ineligible[j]:
+                pairs.remove(j)
+                constraints[j] = None
+                ineligible[j] = ()
                 survivor.discard(j)
             else:
-                pairs[j] = (s, ends[1]) if ends[0] == partner else (ends[0], s)
+                ends = ineligible[j]
+                ineligible[j] = (s, ends[1]) if ends[0] == partner else (ends[0], s)
                 survivor.add(j)
                 # no current pair lies below s, so s is the smaller endpoint
                 heappush(heap, (first, j))
@@ -260,7 +243,8 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
     unsatisfiable instance (elimination dead-ended, or a merged task has no
     authorized user) marks no user, so its kernel keeps the tasks and
     constraints and has no users. Raises ClassificationError if some
-    constraint kind does not qualify.
+    constraint kind does not qualify, and DomainError if a constraint
+    names a task outside the schema.
     """
     elim = eliminate_equalities(schema)
     merged = elim.schema

@@ -172,14 +172,15 @@ def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
 
     Users are the vertices; one chooser task per color (authorized for its
     color class) and a chain of l-1 tasks per set, the last authorized for
-    the set's members, linked by gadget constraints. Degenerate instances
-    (fewer than two sets or two colors) are solved directly and a dummy
-    schema returned.
+    the set's members, linked by gadget constraints: (l-1)m+l tasks and
+    (l-1)m constraints for every m. With one color there is no pair of
+    choosers for a gadget to link, so that instance is solved directly and
+    a one-task dummy schema returned.
     """
     gadget.validate()
     m = len(inst.sets)
     ell = inst.num_colors
-    if m < 2 or ell < 2:
+    if ell < 2:
         return _dummy_schema(solve_mchs_bruteforce(inst))
     users = inst.vertices
     all_users = frozenset(users)

@@ -10,10 +10,10 @@ independent oracle. Both bound their search nodes by ``plan_cap``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional
+from typing import Hashable, Iterator, Mapping, Optional
 
 from wspkit.constraints import eligible_partition
-from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, describe
+from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, unknown_task
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.matching import maximum_matching
 # Not called here: bench/tracing.py rebinds solver.growth_strings, and the
@@ -89,9 +89,7 @@ def _constraints_by_depth(
         try:
             depth = max(index[t] for t in c.scope_set)
         except KeyError as exc:
-            raise DomainError(
-                f"constraint #{i} ({describe(c)}) names unknown task {exc.args[0]!r}"
-            ) from None
+            raise unknown_task(i, c, exc.args[0]) from None
         by_depth[depth].append(c)
     return by_depth
 
@@ -172,11 +170,11 @@ def solve_fpt(
             common[label[tasks[depth]]] = before[depth]
 
 
-def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
+def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
     """Depth-first enumeration of complete authorized eligible plans.
 
     Tasks are assigned in declaration order and users tried in declaration
-    order, so complete plans are visited in lexicographic order. Branches
+    order, so complete plans are yielded in lexicographic order. Branches
     are pruned once an authorization or a fully-assigned constraint fails;
     pruning never skips a valid plan, so the first plan found equals the
     first valid plan in the full lexicographic enumeration. plan_cap bounds
@@ -187,7 +185,6 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     tasks, users = schema.tasks, schema.users
     k = len(tasks)
     by_depth = _constraints_by_depth(schema)
-    found: list[Plan] = []
     assignment: dict[str, str] = {}
     # next_user[d]: index of the next user to try for the task at depth d
     next_user = [0] * (k + 1)
@@ -195,9 +192,7 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
     depth = 0
     while depth >= 0:
         if depth == k:
-            found.append(Plan(dict(assignment)))
-            if stop_at_first:
-                break
+            yield Plan(assignment)
             depth -= 1
             continue
         t = tasks[depth]
@@ -218,17 +213,16 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int, stop_at_first: bool):
         if all(eligible_partition(c, assignment) for c in by_depth[depth]):
             depth += 1
             next_user[depth] = 0
-    return found
 
 
 def solve_bruteforce(
     schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
 ) -> SolveOutcome:
     """Independent oracle: first valid plan in lexicographic order, if any."""
-    found = _dfs_plans(schema, plan_cap, stop_at_first=True)
-    if found:
-        return SolveOutcome(SATISFIABLE, found[0])
-    return SolveOutcome(UNSATISFIABLE)
+    plan = next(_dfs_plans(schema, plan_cap), None)
+    if plan is None:
+        return SolveOutcome(UNSATISFIABLE)
+    return SolveOutcome(SATISFIABLE, plan)
 
 
 def project(
@@ -245,11 +239,6 @@ def project(
     unknown = tasks - set(schema.tasks)
     if unknown:
         raise DomainError(f"projection onto unknown tasks: {sorted(unknown)}")
-    found = _dfs_plans(schema, plan_cap, stop_at_first=False)
     ordered = schema.sort_tasks(tasks)
-    seen: dict[tuple[str, ...], Plan] = {}
-    for plan in found:
-        key = tuple(plan[t] for t in ordered)
-        if key not in seen:
-            seen[key] = Plan({t: plan[t] for t in ordered})
-    return tuple(seen[key] for key in sorted(seen))
+    seen = {tuple(plan[t] for t in ordered) for plan in _dfs_plans(schema, plan_cap)}
+    return tuple(Plan(dict(zip(ordered, key))) for key in sorted(seen))

@@ -124,6 +124,25 @@ class TestMchsToWsp:
             assert (solve_bruteforce(schema).satisfiable
                     == solve_mchs_bruteforce(inst))
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_fewer_than_two_sets_use_the_construction(self, m, ell):
+        import random
+
+        rng = random.Random(10 * m + ell)
+        for _ in range(20):
+            verts = tuple(f"v{i}" for i in range(1, rng.randint(ell, 6) + 1))
+            coloring = {v: (i % ell) + 1 for i, v in enumerate(verts)}
+            sets = tuple(frozenset(rng.sample(verts, rng.randint(1, len(verts))))
+                         for _ in range(m))
+            inst = MchsInstance(verts, sets, ell, coloring)
+            for gadget in GADGETS.values():
+                schema = mchs_to_wsp(inst, gadget)
+                assert len(schema.tasks) == (ell - 1) * m + ell
+                assert len(schema.constraints) == (ell - 1) * m
+                assert (solve_bruteforce(schema).satisfiable
+                        == solve_mchs_bruteforce(inst))
+
     def test_authorization_layout(self):
         inst = MchsInstance(
             vertices=("a", "b", "c"),
