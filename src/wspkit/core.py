@@ -23,11 +23,7 @@ CATALOG = {
 EQ2, NEQ2, BIND, SEP, ATMOST, ATLEAST, PERUSER = CATALOG
 
 
-def _dedup(items: Iterable[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(items))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConstraintInstance:
     """A catalog relation applied to a tuple of tasks.
 
@@ -35,7 +31,10 @@ class ConstraintInstance:
     Set-parameterized kinds collapse repeated tasks to the scope set, and
     the user-count kinds (atmost, atleast) count distinct users, so neither
     is affected by repeats. The peruser kind counts scope positions, so a
-    repeated task contributes its multiplicity to its block's load.
+    repeated task contributes its multiplicity to its block's load. The
+    constructor checks the arguments against ``CATALOG`` and, as the class
+    is frozen, stores them as tuples through its slot descriptors; a sets
+    kind takes ``scope_sets`` and derives ``scope`` from them.
     """
 
     kind: str
@@ -45,28 +44,38 @@ class ConstraintInstance:
     # distinct scope tasks in order of first occurrence
     scope_set: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entry = CATALOG.get(self.kind)
+    def __init__(self, kind: str, params: Iterable[int] = (), scope: Iterable[str] = (),
+                 scope_sets: Optional[Iterable[Iterable[str]]] = None) -> None:
+        entry = CATALOG.get(kind)
         if entry is None:
-            raise DomainError(f"unknown constraint kind {self.kind!r}")
+            raise DomainError(f"unknown constraint kind {kind!r}")
         shape, bounds = entry
-        params = self.params
+        params, scope, sets = tuple(params), tuple(scope), None
         if len(params) != bounds or bounds and not 1 <= params[0] <= params[-1]:
-            raise DomainError(
-                f"{self.kind} takes {bounds} integer bounds rising from 1, got {params}"
-            )
-        if shape == PAIR:
-            if len(self.scope) != 2:
-                raise DomainError(f"{self.kind} takes exactly two tasks")
-        elif shape == SETS:
-            if self.scope_sets is None or not all(self.scope_sets):
-                raise DomainError(f"{self.kind} requires two nonempty task sets")
-            object.__setattr__(
-                self, "scope", _dedup(self.scope_sets[0] + self.scope_sets[1])
-            )
-        elif not self.scope:
-            raise DomainError(f"{self.kind} requires a nonempty scope")
-        object.__setattr__(self, "scope_set", _dedup(self.scope))
+            raise DomainError(f"{kind} takes {bounds} integer bounds rising from 1, got {params}")
+        if shape == SETS:
+            sets = () if scope_sets is None else tuple(map(tuple, scope_sets))
+            if len(sets) != 2 or not all(sets):
+                raise DomainError(f"{kind} requires two nonempty task sets")
+            scope_set = tuple(dict.fromkeys(sets[0] + sets[1]))
+            if scope and scope != scope_set:
+                raise DomainError(f"{kind} takes its scope from its two task sets")
+            scope = scope_set
+        elif scope_sets is not None:
+            raise DomainError(f"{kind} takes a scope, not task sets")
+        elif shape == PAIR:
+            if len(scope) != 2:
+                raise DomainError(f"{kind} takes exactly two tasks")
+            scope_set = scope if scope[0] != scope[1] else scope[:1]
+        elif not scope:
+            raise DomainError(f"{kind} requires a nonempty scope")
+        else:
+            scope_set = tuple(dict.fromkeys(scope))
+        _set_kind(self, kind)
+        _set_params(self, params)
+        _set_scope(self, scope)
+        _set_scope_sets(self, sets)
+        _set_scope_set(self, scope_set)
 
     @property
     def arity(self) -> int:
@@ -82,32 +91,36 @@ class ConstraintInstance:
         return (self.kind, self.params, frozenset(self.scope))
 
 
+_set_kind, _set_params, _set_scope, _set_scope_sets, _set_scope_set = (
+    ConstraintInstance.__dict__[name].__set__ for name in ConstraintInstance.__slots__)
+
+
 def equality(s: str, s2: str) -> ConstraintInstance:
-    return ConstraintInstance(EQ2, scope=(s, s2))
+    return ConstraintInstance(EQ2, (), (s, s2))
 
 
 def disequality(s: str, s2: str) -> ConstraintInstance:
-    return ConstraintInstance(NEQ2, scope=(s, s2))
+    return ConstraintInstance(NEQ2, (), (s, s2))
 
 
 def binding(ts: Iterable[str], ts2: Iterable[str]) -> ConstraintInstance:
-    return ConstraintInstance(BIND, scope_sets=(tuple(ts), tuple(ts2)))
+    return ConstraintInstance(BIND, scope_sets=(ts, ts2))
 
 
 def separation(ts: Iterable[str], ts2: Iterable[str]) -> ConstraintInstance:
-    return ConstraintInstance(SEP, scope_sets=(tuple(ts), tuple(ts2)))
+    return ConstraintInstance(SEP, scope_sets=(ts, ts2))
 
 
 def at_most(t: int, ts: Iterable[str]) -> ConstraintInstance:
-    return ConstraintInstance(ATMOST, params=(t,), scope=tuple(ts))
+    return ConstraintInstance(ATMOST, (t,), ts)
 
 
 def at_least(t: int, ts: Iterable[str]) -> ConstraintInstance:
-    return ConstraintInstance(ATLEAST, params=(t,), scope=tuple(ts))
+    return ConstraintInstance(ATLEAST, (t,), ts)
 
 
 def per_user(t_low: int, t_high: int, ts: Iterable[str]) -> ConstraintInstance:
-    return ConstraintInstance(PERUSER, params=(t_low, t_high), scope=tuple(ts))
+    return ConstraintInstance(PERUSER, (t_low, t_high), ts)
 
 
 @dataclass(frozen=True)
@@ -171,13 +184,14 @@ def satisfies(plan: Plan, c: ConstraintInstance) -> bool:
     """Whether the plan satisfies the constraint.
 
     A plan whose domain omits part of the scope satisfies the constraint
-    vacuously; otherwise the plan's users label the scope's blocks.
+    vacuously; otherwise the plan's users label the scope's blocks. It
+    reads the plan's assignment mapping directly and imports nothing.
     """
-    from wspkit.constraints import eligible_partition
-
-    if any(t not in plan for t in c.scope_set):
-        return True
-    return eligible_partition(c, plan)
+    label = plan.assignment
+    for t in c.scope_set:
+        if t not in label:
+            return True
+    return wspkit.constraints.eligible_partition(c, label)
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,7 @@ def is_valid_plan(schema: WorkflowSchema, plan: Plan) -> Verdict:
     """Check completeness, authorization, and eligibility of a plan."""
     violations: list[Violation] = []
     for t in schema.tasks:
-        if t not in plan:
+        if t not in plan.assignment:
             violations.append(Violation("complete", f"task {t} is unassigned"))
     for t, u in plan.items():
         if t not in schema.auth:
@@ -271,3 +285,6 @@ def validate_schema(schema: WorkflowSchema) -> SchemaReport:
                 f"constraint #{i} ({describe(c)}) names unknown tasks: {unknown}"
             )
     return SchemaReport(tuple(errors), tuple(warnings))
+
+
+import wspkit.constraints  # noqa: E402  (last: it imports the names above)

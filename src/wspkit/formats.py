@@ -75,29 +75,25 @@ def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:
         raise ParseError(f"{kind} takes {arguments} arguments, got {len(args) - 1}")
     try:
         if shape == PAIR:
-            return ConstraintInstance(kind, scope=(args[1], args[2]))
+            return ConstraintInstance(kind, (), (args[1], args[2]))
         if shape == SETS:
-            sets = (_parse_set(args[1]), _parse_set(args[2]))
-            return ConstraintInstance(kind, scope_sets=sets)
+            return ConstraintInstance(kind, scope_sets=map(_parse_set, args[1:]))
         return ConstraintInstance(kind, tuple(map(int, args[1:-1])), _parse_set(args[-1]))
     except (ValueError, DomainError) as exc:
         raise ParseError(f"bad constraint {' '.join(args)!r}: {exc}") from exc
 
 
 def parse_instance(text: str) -> WorkflowSchema:
+    """A schema from instance text, in one pass over its stripped lines,
+    testing the most frequent prefixes (``constraint``, ``auth``) first."""
     tasks: tuple[str, ...] | None = None
     users: tuple[str, ...] | None = None
     auth: dict[str, frozenset[str]] = {}
     constraints: list[ConstraintInstance] = []
-    for line in _content_lines(text):
-        if line.startswith("tasks:"):
-            if tasks is not None:
-                raise ParseError("repeated tasks: line")
-            tasks = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("users:"):
-            if users is not None:
-                raise ParseError("repeated users: line")
-            users = tuple(line.split(":", 1)[1].split())
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("constraint "):
+            constraints.append(parse_constraint_line(line.split()[1:]))
         elif line.startswith("auth "):
             head, _, tail = line.partition(":")
             parts = head.split()
@@ -106,8 +102,16 @@ def parse_instance(text: str) -> WorkflowSchema:
             if parts[1] in auth:
                 raise ParseError(f"repeated auth line for task {parts[1]}")
             auth[parts[1]] = frozenset(tail.split())
-        elif line.startswith("constraint "):
-            constraints.append(parse_constraint_line(line.split()[1:]))
+        elif not line or line[0] == "#":
+            continue
+        elif line.startswith("tasks:"):
+            if tasks is not None:
+                raise ParseError("repeated tasks: line")
+            tasks = tuple(line.split(":", 1)[1].split())
+        elif line.startswith("users:"):
+            if users is not None:
+                raise ParseError("repeated users: line")
+            users = tuple(line.split(":", 1)[1].split())
         else:
             raise ParseError(f"unrecognized line: {line!r}")
     if tasks is None or users is None:

@@ -15,7 +15,7 @@ plan of the kernel into one of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Collection, Mapping, NamedTuple, Optional
 
 from wspkit.constraints import (
@@ -66,13 +66,11 @@ class KernelResult:
 
 def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance:
     def sub(seq):
-        return tuple(new if t == old else t for t in seq)
+        return [new if t == old else t for t in seq]
 
     if c.scope_sets is not None:
-        return ConstraintInstance(
-            c.kind, c.params, scope_sets=(sub(c.scope_sets[0]), sub(c.scope_sets[1]))
-        )
-    return ConstraintInstance(c.kind, c.params, scope=sub(c.scope))
+        return ConstraintInstance(c.kind, c.params, scope_sets=map(sub, c.scope_sets))
+    return ConstraintInstance(c.kind, c.params, sub(c.scope))
 
 
 def _check_kinds(schema: WorkflowSchema) -> None:
@@ -119,7 +117,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     # the eq constraints over two distinct tasks not yet merged; their
     # current endpoints are their ineligible tasks
     pairs: set[int] = set()
-    occurs: dict[str, set[int]] = {}
+    occurs: dict[str, set[int]] = {t: set() for t in tasks}
     ineligible: dict[int, Collection[str]] = {}
     heap: list[tuple[int, int]] = []
     merges: list[MergeRecord] = []
@@ -133,7 +131,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
         if not merges:
             return EqualityEliminationResult(schema, (), unsatisfiable)
         for i in pairs:
-            constraints[i] = ConstraintInstance(EQ2, scope=ineligible[i])
+            constraints[i] = ConstraintInstance(EQ2, (), ineligible[i])
         reduced = WorkflowSchema(
             tasks=tuple(t for t in tasks if t in auth),
             users=schema.users,
@@ -144,15 +142,16 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
 
     for i, c in enumerate(constraints):
         for t in c.scope_set:
-            if t not in index:
+            if t not in occurs:
                 raise unknown_task(i, c, t)
-            occurs.setdefault(t, set()).add(i)
+            occurs[t].add(i)
         if c.kind == EQ2 and c.scope[0] != c.scope[1]:
             pairs.add(i)
             ineligible[i] = c.scope
-            heappush(heap, (min(index[t] for t in c.scope), i))
+            heap.append((min(index[c.scope[0]], index[c.scope[1]]), i))
         else:
             queue(i)
+    heapify(heap)  # the eq entries were appended, not pushed
     _check_kinds(schema)
     while heap:
         first, i = heappop(heap)

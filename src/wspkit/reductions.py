@@ -267,8 +267,7 @@ def _random_constraint(
         chosen = rng.sample(tasks, rng.randint(2, min(k, 4)))
         # a singleton side keeps bind regular
         split = 1 if kind == BIND else rng.randint(1, len(chosen) - 1)
-        return ConstraintInstance(kind, scope_sets=(tuple(chosen[:split]),
-                                                    tuple(chosen[split:])))
+        return ConstraintInstance(kind, scope_sets=(chosen[:split], chosen[split:]))
     # one bound is drawn after the scope; two bounds are drawn first, and the
     # scope holds at least as many tasks as the lower bound
     if bounds == 1:

@@ -1,8 +1,18 @@
 """Schema, constraint, plan, and validity checks."""
 
+import builtins
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wspkit
 from wspkit.core import (
+    ConstraintInstance,
     Plan,
     WorkflowSchema,
     at_most,
@@ -11,6 +21,7 @@ from wspkit.core import (
     is_valid_plan,
     per_user,
     satisfies,
+    separation,
     validate_schema,
 )
 from wspkit.errors import DomainError
@@ -69,6 +80,134 @@ class TestConstraintInstance:
         assert hash(c) == key == hash(fresh)
         assert repr(c) == text == repr(fresh)
         assert "scope_set=" not in repr(c)
+
+    def test_equality_hash_and_repr_ignore_scope_set(self):
+        c = disequality("a", "b")
+        assert c == ConstraintInstance("neq", (), ("a", "b"), None)
+        assert hash(c) == hash(("neq", (), ("a", "b"), None))
+        assert repr(c) == ("ConstraintInstance(kind='neq', params=(), "
+                           "scope=('a', 'b'), scope_sets=None)")
+        compared = [f.name for f in dataclasses.fields(c) if f.compare]
+        assert compared == ["kind", "params", "scope", "scope_sets"]
+
+    @pytest.mark.parametrize("name", ["kind", "params", "scope", "scope_sets",
+                                      "scope_set"])
+    def test_assignment_raises(self, name):
+        c = per_user(1, 2, ("a", "b"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, name)
+
+    def test_no_other_attributes(self):
+        c = per_user(1, 2, ("a", "b"))
+        # the class has slots, not an instance dict; on some Python versions
+        # the frozen __setattr__ reports other names with a TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            c.other = ()
+        assert not hasattr(c, "__dict__")
+
+    @pytest.mark.parametrize("c", [
+        equality("a", "a"), disequality("a", "b"), per_user(1, 2, ("b", "a", "b")),
+        separation(("a", "b"), ("b", "c")),
+    ], ids=["eq", "neq", "peruser", "sep"])
+    def test_replace_and_pickle_round_trip(self, c):
+        for copy in (dataclasses.replace(c), pickle.loads(pickle.dumps(c))):
+            assert copy == c and hash(copy) == hash(c) and repr(copy) == repr(c)
+            assert copy.scope_set == c.scope_set
+
+    def test_replace_revalidates(self):
+        c = per_user(1, 2, ("a", "b"))
+        assert dataclasses.replace(c, scope=("c",)).scope_set == ("c",)
+        with pytest.raises(DomainError, match="rising from 1"):
+            dataclasses.replace(c, params=(2, 1))
+
+    def test_pair_scope_set(self):
+        assert equality("a", "a").scope_set == ("a",)
+        assert equality("a", "b").scope_set == ("a", "b")
+
+    def test_sets_scope_is_the_union_of_the_sets(self):
+        c = separation(("a", "b"), ("b", "c"))
+        assert c.scope == c.scope_set == ("a", "b", "c")
+        assert c.scope_sets == (("a", "b"), ("b", "c"))
+
+    def test_arguments_stored_as_tuples(self):
+        c = ConstraintInstance("atmost", [1], ["a", "b"])
+        assert c.params == (1,) and c.scope == ("a", "b")
+        assert hash(c) == hash(at_most(1, ("a", "b")))
+        s = ConstraintInstance("sep", scope_sets=[["a"], ["b"]])
+        assert s == separation(("a",), ("b",))
+        assert hash(s) == hash(separation(("a",), ("b",)))
+
+    @pytest.mark.parametrize("args,message", [
+        (("nope", (), ("a", "b")), "unknown constraint kind 'nope'"),
+        (("neq", (1,), ("a", "b")), "neq takes 0 integer bounds rising from 1, got (1,)"),
+        (("atmost", (0,), ("a",)), "atmost takes 1 integer bounds rising from 1, got (0,)"),
+        (("atmost", (), ("a",)), "atmost takes 1 integer bounds rising from 1, got ()"),
+        (("peruser", (3, 2), ("a",)),
+         "peruser takes 2 integer bounds rising from 1, got (3, 2)"),
+        (("eq", (), ("a",)), "eq takes exactly two tasks"),
+        (("neq", (), ("a", "b", "c")), "neq takes exactly two tasks"),
+        (("atleast", (1,), ()), "atleast requires a nonempty scope"),
+        (("sep", (), ()), "sep requires two nonempty task sets"),
+        (("bind", (), (), (("a",), ())), "bind requires two nonempty task sets"),
+        (("sep", (), (), (("a",), ("b",), ("c",))), "sep requires two nonempty task sets"),
+        (("neq", (), ("a", "b"), (("x",), ("y",))), "neq takes a scope, not task sets"),
+        (("atmost", (1,), ("a",), (("a",), ("b",))), "atmost takes a scope, not task sets"),
+        (("sep", (), ("a",), (("b",), ("c",))), "sep takes its scope from its two task sets"),
+    ])
+    def test_domain_error_messages(self, args, message):
+        with pytest.raises(DomainError) as info:
+            ConstraintInstance(*args)
+        assert str(info.value) == message
+
+    def test_sets_kind_accepts_its_own_scope(self):
+        c = separation(("a",), ("b", "a"))
+        assert ConstraintInstance("sep", (), ("a", "b"), (("a",), ("b", "a"))) == c
+
+
+class TestPlanCheckImports:
+    def test_is_valid_plan_runs_no_import(self, monkeypatch):
+        tasks = [f"t{i}" for i in range(241)]
+        constraints = [disequality(a, b) for a, b in zip(tasks, tasks[1:])]
+        schema = WorkflowSchema(tasks, ("u", "v"), {t: {"u", "v"} for t in tasks},
+                                constraints)
+        plan = Plan({t: "uv"[i % 2] for i, t in enumerate(tasks)})
+        imports = []
+        real = builtins.__import__
+
+        def counted(*args, **kwargs):
+            imports.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counted)
+        verdict = is_valid_plan(schema, plan)
+        assert satisfies(plan, constraints[0])
+        monkeypatch.undo()
+        assert len(constraints) == 240 and verdict
+        assert imports == []
+
+    @pytest.mark.parametrize("first,second", [
+        ("wspkit.constraints", "wspkit.core"), ("wspkit.core", "wspkit.constraints"),
+    ])
+    def test_either_module_imports_first(self, first, second):
+        script = (
+            f"import {first}, {second}\n"
+            "from wspkit.core import Plan, WorkflowSchema, disequality, "
+            "is_valid_plan, satisfies\n"
+            "c = disequality('a', 'b')\n"
+            "schema = WorkflowSchema(('a', 'b'), ('u', 'v'), "
+            "{'a': {'u'}, 'b': {'v'}}, (c,))\n"
+            "assert satisfies(Plan({'a': 'u', 'b': 'v'}), c)\n"
+            "assert not satisfies(Plan({'a': 'u', 'b': 'u'}), c)\n"
+            "assert is_valid_plan(schema, Plan({'a': 'u', 'b': 'v'}))\n"
+            "assert not is_valid_plan(schema, Plan({'a': 'u', 'b': 'u'}))\n"
+        )
+        src = str(Path(wspkit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
 
 
 class TestValidateSchema:

@@ -101,6 +101,55 @@ class TestInstanceFormat:
         with pytest.raises(ParseError, match=re.escape(message)):
             formats.parse_instance(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("tasks: a b\ntasks: a\nusers: u\n", "repeated tasks: line"),
+        ("tasks: a\nusers: u v\nusers: u\n", "repeated users: line"),
+        ("tasks: a\nusers: u v\nauth a: u\nauth a: v\n",
+         "repeated auth line for task a"),
+        ("tasks: a\nusers: u\nauth a b: u\n", "bad auth line: 'auth a b: u'"),
+        ("tasks: a\nusers: u\n  job a u\n", "unrecognized line: 'job a u'"),
+        ("tasks: a\nusers: u\nconstraint\n", "unrecognized line: 'constraint'"),
+        ("tasks: a\nusers: u\nauth b: u\nauth c: u\n",
+         "auth lines for unknown tasks: ['b', 'c']"),
+        ("tasks: a\nauth a: u\n", "document must declare tasks: and users:"),
+        ("users: u\n", "document must declare tasks: and users:"),
+        ("# only a comment\n\n", "document must declare tasks: and users:"),
+        ("tasks: a b\nusers: u\nconstraint neq a\n", "neq takes 2 arguments, got 1"),
+        ("tasks: a\nusers: u\nconstraint atmost 0 {a}\n",
+         "bad constraint 'atmost 0 {a}': atmost takes 1 integer bounds rising "
+         "from 1, got (0,)"),
+    ], ids=["tasks", "users", "auth", "auth-head", "unrecognized", "bare-constraint",
+            "unknown-auth", "no-users", "no-tasks", "empty", "arguments", "bounds"])
+    def test_parse_error_texts(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            formats.parse_instance(text)
+        assert str(caught.value) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_spliced_layout_parses_to_the_same_schema(self, seed, data):
+        schema = gen_random_instance(
+            5, 4, 6, ["eq", "neq", "sep", "bind", "atmost", "atleast", "peruser"],
+            seed=seed,
+        )
+        text = formats.serialize_instance(schema)
+        canonical = formats.parse_instance(text)
+        spliced = []
+        for line in text.splitlines():
+            spliced += data.draw(st.lists(st.sampled_from(
+                ["", "   ", "# note", "  # auth x: y", "#constraint neq a b"]), max_size=2))
+            indent = data.draw(st.sampled_from(["", " ", "\t", "  "]))
+            trail = data.draw(st.sampled_from(["", " ", "\t "]))
+            spliced.append(indent + line + trail)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        back = formats.parse_instance(newline.join(spliced))
+        assert back == canonical
+        assert formats.serialize_instance(back) == text
+        # serialization canonicalizes scope order, so compare structurally
+        assert back.tasks == schema.tasks and dict(back.auth) == dict(schema.auth)
+        assert ([c.dedup_key() for c in back.constraints]
+                == [c.dedup_key() for c in schema.constraints])
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_generated_instances_round_trip(self, seed):

@@ -975,3 +975,22 @@ def test_kernelize_long_chained_authorization():
     assert result.verdict == REDUCED
     assert len(result.schema.users) <= len(result.schema.tasks) == 3000
     assert dict(result.representatives) == dict(zip(schema.tasks, schema.users))
+
+
+def test_stray_task_sets_cannot_hide_a_disequality():
+    # A neq that carried stray scope_sets used to reach dedup_key, which read
+    # the sets: kernelize kept one of three pairwise neq over a, b, c with the
+    # same stray sets, and the two-user instance became satisfiable.
+    pairs = (("a", "b"), ("b", "c"), ("a", "c"))
+    for pair in pairs:
+        with pytest.raises(DomainError, match="neq takes a scope, not task sets"):
+            ConstraintInstance("neq", scope=pair, scope_sets=(("x",), ("y",)))
+    schema = WorkflowSchema(("a", "b", "c"), ("u", "v"),
+                            {t: {"u", "v"} for t in "abc"},
+                            tuple(disequality(*pair) for pair in pairs))
+    result = kernelize(schema)
+    assert len(result.schema.constraints) == 3
+    kernel_satisfiable = (result.verdict != TRIVIALLY_UNSAT
+                          and solve_fpt(result.schema).satisfiable)
+    assert not solve_fpt(schema).satisfiable
+    assert kernel_satisfiable == solve_fpt(schema).satisfiable
