@@ -1,17 +1,15 @@
 """Classification of explicitly given small-arity relations.
 
-A relation is given either as a RelationSpec (its eligible partitions of
-{1,..,r}, each a restricted growth string whose index i is position i + 1)
-or as a TupleTable (explicit tuples over a finite universe).
-The predicates decide user-independence, regularity, intersection-closure,
-and the ternary gadget condition used by the hitting-set reduction.
+A relation is given as a RelationSpec: its eligible partitions of
+{1,..,r}, each a restricted growth string whose index i is position i + 1,
+read from a spec file or derived from a catalog constraint. The
+predicates decide regularity, intersection-closure, and the ternary
+gadget condition used by the hitting-set reduction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from wspkit.core import ConstraintInstance
@@ -41,61 +39,6 @@ class RelationSpec:
                 )
         if not self.eligible_partitions:
             raise DomainError("relation must be satisfiable (some eligible partition)")
-
-
-@dataclass(frozen=True)
-class TupleTable:
-    """An explicit r-ary relation over universe {1,..,u}."""
-
-    arity: int
-    universe: int
-    tuples: frozenset[tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
-        for t in self.tuples:
-            if len(t) != self.arity or not all(1 <= x <= self.universe for x in t):
-                raise DomainError(f"tuple out of bounds: {t}")
-
-
-@dataclass(frozen=True)
-class UserIndependenceResult:
-    user_independent: bool
-    spec: Optional[RelationSpec] = None
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-
-
-def is_user_independent(table: TupleTable) -> UserIndependenceResult:
-    """Decide whether tuple membership depends only on the equality pattern.
-
-    Requires universe >= 2 * arity so that every pattern is realizable and
-    permutation closure is decidable from the table. The returned witness
-    is a (member, non-member) pair with the same pattern.
-    """
-    r, u = table.arity, table.universe
-    if u < 2 * r:
-        raise DomainError(f"universe {u} too small; need at least {2 * r}")
-    by_pattern: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for t in sorted(table.tuples):
-        by_pattern.setdefault(growth_string(t), []).append(t)
-    eligible: set[tuple[int, ...]] = set()
-    for code in growth_strings(r):
-        present = by_pattern.get(code)
-        if not present:
-            continue
-        nblocks = max(code, default=-1) + 1
-        if len(present) == math.perm(u, nblocks):
-            eligible.add(code)
-            continue
-        # some realization is absent: return the first, trying users in order
-        realized = set(present)
-        for users in permutations(range(1, u + 1), nblocks):
-            missing = tuple(users[x] for x in code)
-            if missing not in realized:
-                return UserIndependenceResult(False, witness=(present[0], missing))
-    if not eligible:
-        raise DomainError("relation must be satisfiable (nonempty table)")
-    return UserIndependenceResult(True, spec=RelationSpec(r, frozenset(eligible)))
 
 
 def eligible_sets(spec: RelationSpec) -> frozenset[frozenset[int]]:

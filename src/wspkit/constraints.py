@@ -39,11 +39,11 @@ Classes = tuple[tuple[int, int], ...]
 def _classes(c: ConstraintInstance) -> tuple[Classes, tuple[tuple[str, ...], ...]]:
     """The classes of c's scope and the tasks of each, in scope order."""
     mult = Counter(c.scope)
-    members: dict[int, tuple[str, ...]] = {}
+    members: dict[int, list[str]] = {}
     for t in c.scope_set:
-        members[mult[t]] = members.get(mult[t], ()) + (t,)
+        members.setdefault(mult[t], []).append(t)
     ordered = sorted(members.items(), reverse=True)
-    return tuple((w, len(ts)) for w, ts in ordered), tuple(ts for _, ts in ordered)
+    return tuple((w, len(ts)) for w, ts in ordered), tuple(tuple(ts) for _, ts in ordered)
 
 
 def _vectors(classes: Classes, budget: int) -> Iterator[tuple[int, ...]]:

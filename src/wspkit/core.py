@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
@@ -93,6 +93,21 @@ class ConstraintInstance:
 
 _set_kind, _set_params, _set_scope, _set_scope_sets, _set_scope_set = (
     ConstraintInstance.__dict__[name].__set__ for name in ConstraintInstance.__slots__)
+
+
+def _refuse_assignment(self: ConstraintInstance, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self: ConstraintInstance, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# Bound after the class is built, since dataclass(frozen=True) refuses a class
+# that defines them; the pair it generates closes over the class from before
+# slots=True rebuilt it, and raised TypeError for a name that is not a field.
+ConstraintInstance.__setattr__ = _refuse_assignment
+ConstraintInstance.__delattr__ = _refuse_deletion
 
 
 def equality(s: str, s2: str) -> ConstraintInstance:

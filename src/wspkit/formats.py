@@ -1,6 +1,8 @@
 """Line-oriented text formats: instances, plans, relation specs, MCHS, DIMACS.
 
-The instance format is human-writable and canonical: tasks and users are
+Instances and plans are read and written, relation specs, MCHS and
+DIMACS only read, and kernel logs only written: each writer here is one
+that a ``wsp`` command prints with. The instance format is human-writable and canonical: tasks and users are
 listed in declaration order, authorization lines follow task order with
 users in user order, and constraints keep declaration order with scope
 sets ordered by task declaration. Serializing a parsed canonical document
@@ -194,12 +196,6 @@ def format_partition(code: Sequence[int]) -> str:
     )
 
 
-def serialize_relation_spec(spec: RelationSpec) -> str:
-    lines = [f"arity {spec.arity}"]
-    lines.extend(sorted(format_partition(code) for code in spec.eligible_partitions))
-    return "\n".join(lines) + "\n"
-
-
 def parse_mchs(text: str) -> MchsInstance:
     vertices: tuple[str, ...] | None = None
     coloring: dict[str, int] = {}
@@ -238,16 +234,6 @@ def parse_mchs(text: str) -> MchsInstance:
         return MchsInstance(vertices, tuple(sets), num_colors, coloring)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def serialize_mchs(inst: MchsInstance) -> str:
-    lines = ["vertices: " + " ".join(inst.vertices)]
-    for v in inst.vertices:
-        lines.append(f"color {v} {inst.coloring[v]}")
-    order = {v: i for i, v in enumerate(inst.vertices)}
-    for e in inst.sets:
-        lines.append("set: " + " ".join(sorted(e, key=order.__getitem__)))
-    return "\n".join(lines) + "\n"
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -291,13 +277,6 @@ def parse_dimacs(text: str) -> CnfFormula:
             f"problem line declares {num_clauses} clauses, found {len(clauses)}"
         )
     return CnfFormula(num_vars, tuple(clauses))
-
-
-def serialize_dimacs(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for cl in formula.clauses:
-        lines.append(" ".join(map(str, cl)) + " 0")
-    return "\n".join(lines) + "\n"
 
 
 def serialize_kernel_log(result: KernelResult) -> str:

@@ -3,15 +3,14 @@
 The SAT and multi-colored hitting set constructions mirror the two
 polynomial parametric transformations exactly, including the parameter
 counts (2n+1 tasks with two users; (l-1)m+l tasks with (l-1)m
-constraints). Brute-force mini-oracles for the source problems allow
-end-to-end equivalence testing of the generated instances.
+constraints, for every l and m). They build instances and solve nothing;
+the tests hold the brute-force oracles for the source problems.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from wspkit.classify import matches_ternary_condition, spec_from_constraint
@@ -27,7 +26,7 @@ from wspkit.core import (
     at_most,
     binding,
 )
-from wspkit.errors import DomainError, ParseError, ResourceLimitError
+from wspkit.errors import DomainError, ParseError
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,8 @@ class MchsInstance:
         for j in range(1, self.num_colors + 1):
             if not any(self.coloring[v] == j for v in self.vertices):
                 raise DomainError(f"color class {j} is empty")
+        if self.num_colors < 1:
+            raise DomainError("an instance needs at least one color")
 
     def color_class(self, j: int) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.coloring[v] == j)
@@ -120,20 +121,6 @@ def sat_to_wsp(formula: CnfFormula) -> WorkflowSchema:
     return WorkflowSchema(tuple(tasks), users, auth, tuple(constraints))
 
 
-def solve_sat_bruteforce(formula: CnfFormula, max_vars: int = 20) -> bool:
-    """Exhaustive assignment enumeration."""
-    n = formula.num_vars
-    if n > max_vars:
-        raise ResourceLimitError(f"{n} variables exceeds the cap {max_vars}")
-    for bits in product((False, True), repeat=n):
-        if all(
-            any(bits[abs(lit) - 1] == (lit > 0) for lit in cl)
-            for cl in formula.clauses
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class TernaryGadget:
     """An arity-3 catalog application usable by the hitting-set construction.
@@ -162,32 +149,28 @@ GADGETS: dict[str, TernaryGadget] = {
 }
 
 
-def _dummy_schema(satisfiable: bool) -> WorkflowSchema:
-    auth = {"s1": frozenset({"u1"}) if satisfiable else frozenset()}
-    return WorkflowSchema(("s1",), ("u1",), auth, ())
-
-
 def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
     """Multi-colored hitting set as a workflow instance.
 
     Users are the vertices; one chooser task per color (authorized for its
     color class) and a chain of l-1 tasks per set, the last authorized for
     the set's members, linked by gadget constraints: (l-1)m+l tasks and
-    (l-1)m constraints for every m. With one color there is no pair of
-    choosers for a gadget to link, so that instance is solved directly and
-    a one-task dummy schema returned.
+    (l-1)m constraints for every l and m. With one color there is no second
+    chooser for a gadget to link, so the one chooser task s1 is authorized
+    for the vertices of color 1 that lie in every set.
     """
     gadget.validate()
     m = len(inst.sets)
     ell = inst.num_colors
-    if ell < 2:
-        return _dummy_schema(solve_mchs_bruteforce(inst))
     users = inst.vertices
     all_users = frozenset(users)
     tasks: list[str] = [f"s{j}" for j in range(1, ell + 1)]
     auth: dict[str, frozenset[str]] = {
         f"s{j}": frozenset(inst.color_class(j)) for j in range(1, ell + 1)
     }
+    if ell == 1:
+        auth["s1"] = auth["s1"].intersection(*inst.sets)
+        return WorkflowSchema(("s1",), users, auth)
     constraints: list[ConstraintInstance] = []
     for i in range(1, m + 1):
         for j in range(2, ell + 1):
@@ -198,21 +181,6 @@ def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
         for j in range(3, ell + 1):
             constraints.append(gadget.build(f"e{i}_{j}", f"e{i}_{j - 1}", f"s{j}"))
     return WorkflowSchema(tuple(tasks), users, auth, tuple(constraints))
-
-
-def solve_mchs_bruteforce(inst: MchsInstance, cap: int = 10**6) -> bool:
-    """Enumerate one vertex per color class and test the hitting condition."""
-    classes = [inst.color_class(j) for j in range(1, inst.num_colors + 1)]
-    total = 1
-    for cls in classes:
-        total *= len(cls)
-    if total > cap:
-        raise ResourceLimitError(f"{total} candidate sets exceeds the cap {cap}")
-    for combo in product(*classes):
-        chosen = set(combo)
-        if all(chosen & e for e in inst.sets):
-            return True
-    return False
 
 
 # kind mix entries: a kind name, or (kind, params) to pin parameters

@@ -43,11 +43,10 @@ from wspkit.reductions import (
     gen_random_instance,
     mchs_to_wsp,
     sat_to_wsp,
-    solve_mchs_bruteforce,
-    solve_sat_bruteforce,
 )
 from wspkit.solver import project, solve_bruteforce, solve_fpt
 
+from oracles import solve_mchs_bruteforce, solve_sat_bruteforce
 from test_constraints import enumerate_eligible_sets
 
 NAMES = ("a", "b", "c", "d", "e", "f")

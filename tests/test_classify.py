@@ -1,14 +1,17 @@
 """Classification predicates on explicit relations."""
 
+import math
+from dataclasses import dataclass
+from itertools import permutations
+from typing import Optional
+
 import pytest
 
 from wspkit.classify import (
     RelationSpec,
-    TupleTable,
     eligible_sets,
     is_intersection_closed,
     is_regular,
-    is_user_independent,
     matches_ternary_condition,
     spec_from_constraint,
 )
@@ -21,9 +24,67 @@ from wspkit.core import (
     separation,
 )
 from wspkit.errors import ClassificationError, DomainError
-from wspkit.partitions import growth_string
+from wspkit.partitions import growth_string, growth_strings
 
 NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+# A relation given by its tuples, and the check that it is user-independent,
+# which turns such a table into the RelationSpec that classification takes.
+
+@dataclass(frozen=True)
+class TupleTable:
+    """An explicit r-ary relation over universe {1,..,u}."""
+
+    arity: int
+    universe: int
+    tuples: frozenset[tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tuples", frozenset(tuple(t) for t in self.tuples))
+        for t in self.tuples:
+            if len(t) != self.arity or not all(1 <= x <= self.universe for x in t):
+                raise DomainError(f"tuple out of bounds: {t}")
+
+
+@dataclass(frozen=True)
+class UserIndependenceResult:
+    user_independent: bool
+    spec: Optional[RelationSpec] = None
+    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+
+
+def is_user_independent(table: TupleTable) -> UserIndependenceResult:
+    """Decide whether tuple membership depends only on the equality pattern.
+
+    Requires universe >= 2 * arity so that every pattern is realizable and
+    permutation closure is decidable from the table. The returned witness
+    is a (member, non-member) pair with the same pattern.
+    """
+    r, u = table.arity, table.universe
+    if u < 2 * r:
+        raise DomainError(f"universe {u} too small; need at least {2 * r}")
+    by_pattern: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for t in sorted(table.tuples):
+        by_pattern.setdefault(growth_string(t), []).append(t)
+    eligible: set[tuple[int, ...]] = set()
+    for code in growth_strings(r):
+        present = by_pattern.get(code)
+        if not present:
+            continue
+        nblocks = max(code, default=-1) + 1
+        if len(present) == math.perm(u, nblocks):
+            eligible.add(code)
+            continue
+        # some realization is absent: return the first, trying users in order
+        realized = set(present)
+        for users in permutations(range(1, u + 1), nblocks):
+            missing = tuple(users[x] for x in code)
+            if missing not in realized:
+                return UserIndependenceResult(False, witness=(present[0], missing))
+    if not eligible:
+        raise DomainError("relation must be satisfiable (nonempty table)")
+    return UserIndependenceResult(True, spec=RelationSpec(r, frozenset(eligible)))
 
 
 class TestUserIndependence:

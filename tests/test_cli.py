@@ -6,6 +6,8 @@ from wspkit import formats, kernel, solver
 from wspkit.cli import main
 from wspkit.core import Plan
 
+from test_formats import serialize_relation_spec
+
 WSTAR_TEXT = """\
 tasks: s1 s2 s3
 users: u1 u2 u3 u4 u5 u6
@@ -215,7 +217,7 @@ class TestClassify:
 
         spec = spec_from_constraint(binding(("a", "b"), ("c", "d")))
         path = tmp_path / "rel.spec"
-        path.write_text(formats.serialize_relation_spec(spec))
+        path.write_text(serialize_relation_spec(spec))
         assert main(["classify", str(path)]) == 0
         assert "regular: no" in capsys.readouterr().out
 
@@ -325,6 +327,20 @@ class TestReduce:
         schema = formats.parse_instance(out.read_text())
         assert len(schema.tasks) == 11  # (l-1)m + l with l=3, m=4
         assert len(schema.constraints) == 8  # (l-1)m
+
+    def test_mchs_one_color(self, tmp_path, capsys):
+        # one chooser task, authorized for the vertices in every set
+        doc = tmp_path / "h.mchs"
+        doc.write_text("vertices: a b c\ncolor a 1\ncolor b 1\ncolor c 1\n"
+                       "set: a b\nset: b c\n")
+        out = tmp_path / "inst.wsp"
+        assert main(["reduce", str(doc), "--from", "mchs",
+                     "--gadget", "atmost2", "--out", str(out)]) == 0
+        header = [f"# reduced from MCHS {doc} with gadget atmost2",
+                  "# colors: 1 sets: 2", "# tasks: 1 constraints: 0"]
+        assert out.read_text() == "\n".join(
+            header + ["tasks: s1", "users: a b c", "auth s1: b"]) + "\n"
+        assert capsys.readouterr().err == "\n".join(header) + "\n"
 
     def test_unknown_gadget(self, tmp_path):
         doc = tmp_path / "h.mchs"

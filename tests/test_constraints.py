@@ -1,5 +1,6 @@
 """Eligibility interface: closed forms against enumeration ground truth."""
 
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -447,3 +448,14 @@ class TestLargePeruser:
         monkeypatch.setattr(constraints, "_eligible_counts", counted)
         assert classification(c) == (True, False)
         assert calls <= c.arity
+
+    def test_classes_of_a_large_scope_take_linear_time(self):
+        # 40 000 tasks, one repeated: two classes. Building each class's
+        # tasks by tuple concatenation took seconds here, quadratic in r.
+        tasks = tuple(f"t{i}" for i in range(40_000))
+        c = per_user(1, 3, tasks + tasks[:1])
+        start = time.perf_counter()
+        assert ineligible_singletons(c) == frozenset()
+        assert time.perf_counter() - start < 1.0
+        assert constraints._classes(c) == (((2, 1), (1, 39_999)),
+                                           (tasks[:1], tasks[1:]))

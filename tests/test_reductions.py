@@ -12,10 +12,10 @@ from wspkit.reductions import (
     gen_random_instance,
     mchs_to_wsp,
     sat_to_wsp,
-    solve_mchs_bruteforce,
-    solve_sat_bruteforce,
 )
-from wspkit.solver import solve_bruteforce
+from wspkit.solver import solve_bruteforce, solve_fpt
+
+from oracles import solve_mchs_bruteforce, solve_sat_bruteforce
 
 
 class TestSatToWsp:
@@ -125,7 +125,7 @@ class TestMchsToWsp:
                     == solve_mchs_bruteforce(inst))
 
     @pytest.mark.parametrize("m", [0, 1])
-    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_fewer_than_two_sets_use_the_construction(self, m, ell):
         import random
 
@@ -142,6 +142,40 @@ class TestMchsToWsp:
                 assert len(schema.constraints) == (ell - 1) * m
                 assert (solve_bruteforce(schema).satisfiable
                         == solve_mchs_bruteforce(inst))
+
+    def test_one_color_builds_one_chooser(self):
+        inst = MchsInstance(
+            vertices=("a", "b", "c", "d"),
+            sets=(frozenset({"a", "b", "c"}), frozenset({"b", "c", "d"}),
+                  frozenset({"a", "c", "d"})),
+            num_colors=1,
+            coloring={"a": 1, "b": 1, "c": 1, "d": 1},
+        )
+        for gadget in GADGETS.values():
+            schema = mchs_to_wsp(inst, gadget)
+            assert schema.tasks == ("s1",) and schema.constraints == ()
+            assert schema.users == inst.vertices
+            assert schema.auth["s1"] == {"c"}
+
+    @pytest.mark.parametrize("solve", [solve_fpt, solve_bruteforce])
+    def test_one_color_agrees_with_the_oracle(self, solve):
+        import random
+
+        rng = random.Random(1)
+        verdicts = set()
+        for _ in range(1000):
+            verts = tuple(f"v{i}" for i in range(1, rng.randint(1, 6) + 1))
+            sets = tuple(frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+                         for _ in range(rng.randint(0, 4)))
+            inst = MchsInstance(verts, sets, 1, dict.fromkeys(verts, 1))
+            want = solve_mchs_bruteforce(inst)
+            verdicts.add(want)
+            assert solve(mchs_to_wsp(inst, GADGETS["atmost2"])).satisfiable == want
+        assert verdicts == {False, True}
+
+    def test_no_color_rejected(self):
+        with pytest.raises(DomainError, match="at least one color"):
+            MchsInstance((), (), 0, {})
 
     def test_authorization_layout(self):
         inst = MchsInstance(
