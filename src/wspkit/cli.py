@@ -109,6 +109,9 @@ def _spec_from_args(args) -> cls.RelationSpec:
             raise WspError(f"{kind} has arity 2, got --arity {arity}")
         tokens = [kind, *names]
     elif shape == SETS:
+        if arity < 2:
+            raise WspError(f"{kind} takes two task sets, so --arity must be at least 2, "
+                           f"got {arity}")
         split = 1 if args.split is None else args.split
         if not 1 <= split < arity:
             raise WspError(f"--split must lie in 1..{arity - 1}, got {split}")

@@ -1,7 +1,7 @@
 """Partial kernel for regular intersection-closed instances.
 
 Three phases. Equality elimination merges tasks until every singleton is
-eligible for every constraint (its worklist is described in
+eligible for every constraint (its union-find fixpoint is described in
 ``eliminate_equalities``). User marking keeps the users that one maximum
 matching covers: the Hall violators of the hard tasks and a distinct
 representative of every other task. Kernelization then drops the unmarked
@@ -15,8 +15,7 @@ plan of the kernel into one of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Collection, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from wspkit.constraints import (
     classification,
@@ -64,13 +63,12 @@ class KernelResult:
     user_order: tuple[str, ...]
 
 
-def _substitute(c: ConstraintInstance, old: str, new: str) -> ConstraintInstance:
-    def sub(seq):
-        return [new if t == old else t for t in seq]
-
+def _rename(c: ConstraintInstance, root: Callable[[str], str]) -> ConstraintInstance:
+    """c with every task replaced by the root of its group."""
     if c.scope_sets is not None:
-        return ConstraintInstance(c.kind, c.params, scope_sets=map(sub, c.scope_sets))
-    return ConstraintInstance(c.kind, c.params, sub(c.scope))
+        return ConstraintInstance(c.kind, c.params,
+                                  scope_sets=[map(root, side) for side in c.scope_sets])
+    return ConstraintInstance(c.kind, c.params, map(root, c.scope))
 
 
 def _check_kinds(schema: WorkflowSchema) -> None:
@@ -95,99 +93,90 @@ class EqualityEliminationResult:
 def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     """Merge tasks until every singleton is eligible for every constraint.
 
-    ``ineligible[i]`` holds the tasks of constraint i whose singleton is not
-    an eligible set; for an ``eq`` over two distinct tasks, its current
-    endpoints, each the other's required addition. A min-heap of (task
-    index, i) entries holds each constraint's smallest such task, and a
-    popped entry whose task is no longer in ``ineligible[i]`` is stale and
-    skipped, so the first current entry popped is the smallest ineligible
-    pair of the schema. There, s absorbs the first required addition in
-    declaration order, and every constraint naming the absorbed task is
-    rewritten and queued again, except an ``eq`` between the two, which is
-    dropped. So the merge log is the one a rescan from the first task after
-    each merge would give. A singleton with no eligible superset makes the
-    instance trivially unsatisfiable. Raises DomainError if a constraint
-    names a task outside the schema, then ClassificationError if some
-    constraint kind does not qualify, both before any merge.
+    Every merge is forced, so the groups do not depend on merge order; a
+    union-find holds them, each rooted at its first task. An ``eq`` unites
+    its two tasks, and another constraint with an ineligible singleton
+    unites the first such task s with the required additions of {s}. Round
+    one reads every constraint as given; each later round reads, renamed to
+    the roots, those naming tasks of two groups united the round before. A
+    singleton with no eligible superset makes the instance trivially
+    unsatisfiable and returns it unmerged. Otherwise each constraint is
+    renamed once and every ``eq`` over two tasks dropped. The merge log
+    lists each root's absorbed tasks in task order, each record with the
+    root's authorization intersected with those of the group so far.
+    Raises DomainError if a constraint names a task outside the schema,
+    then ClassificationError if some kind does not qualify, before any merge.
     """
     tasks = schema.tasks
     index = schema.task_index
-    auth = dict(schema.auth)
-    constraints: list[Optional[ConstraintInstance]] = list(schema.constraints)
-    # the eq constraints over two distinct tasks not yet merged; their
-    # current endpoints are their ineligible tasks
-    pairs: set[int] = set()
+    parent = {t: t for t in tasks}
+    # by root, the constraints other than eq naming a task of its group
     occurs: dict[str, set[int]] = {t: set() for t in tasks}
-    ineligible: dict[int, Collection[str]] = {}
-    heap: list[tuple[int, int]] = []
-    merges: list[MergeRecord] = []
-
-    def queue(i: int) -> None:
-        ineligible[i] = found = ineligible_singletons(constraints[i])
-        if found:
-            heappush(heap, (min(index[t] for t in found), i))
-
-    def result(unsatisfiable: bool) -> EqualityEliminationResult:
-        if not merges:
-            return EqualityEliminationResult(schema, (), unsatisfiable)
-        for i in pairs:
-            constraints[i] = ConstraintInstance(EQ2, (), ineligible[i])
-        reduced = WorkflowSchema(
-            tasks=tuple(t for t in tasks if t in auth),
-            users=schema.users,
-            auth=auth,
-            constraints=tuple(c for c in constraints if c is not None),
-        )
-        return EqualityEliminationResult(reduced, tuple(merges), unsatisfiable)
-
-    for i, c in enumerate(constraints):
+    for i, c in enumerate(schema.constraints):
         for t in c.scope_set:
-            if t not in occurs:
+            if t not in parent:
                 raise unknown_task(i, c, t)
-            occurs[t].add(i)
-        if c.kind == EQ2 and c.scope[0] != c.scope[1]:
-            pairs.add(i)
-            ineligible[i] = c.scope
-            heap.append((min(index[c.scope[0]], index[c.scope[1]]), i))
-        else:
-            queue(i)
-    heapify(heap)  # the eq entries were appended, not pushed
+            if c.kind != EQ2:
+                occurs[t].add(i)
     _check_kinds(schema)
-    while heap:
-        first, i = heappop(heap)
-        s = tasks[first]
-        if s not in ineligible[i]:
-            continue
-        if i in pairs:
-            ends = ineligible[i]
-            partner = ends[1] if ends[0] == s else ends[0]
-        else:
-            try:
-                additions = required_additions(constraints[i], {s})
-            except DeadEndError:
-                return result(unsatisfiable=True)
-            partner = schema.sort_tasks(additions)[0]
-        auth[s] = merged = auth[s] & auth.pop(partner)
-        merges.append(MergeRecord(s, partner, merged))
-        survivor = occurs[s]
-        # a dropped pair names no task, so it is in no occurs set
-        for j in occurs.pop(partner):
-            if j not in pairs:
-                constraints[j] = _substitute(constraints[j], partner, s)
-                survivor.add(j)
-                queue(j)
-            elif s in ineligible[j]:
-                pairs.remove(j)
-                constraints[j] = None
-                ineligible[j] = ()
-                survivor.discard(j)
-            else:
-                ends = ineligible[j]
-                ineligible[j] = (s, ends[1]) if ends[0] == partner else (ends[0], s)
-                survivor.add(j)
-                # no current pair lies below s, so s is the smaller endpoint
-                heappush(heap, (first, j))
-    return result(unsatisfiable=False)
+    # the constraints naming tasks of two groups united in this round
+    united: set[int] = set()
+
+    def find(t: str) -> str:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    def unite(a: str, b: str) -> None:
+        a, b = sorted((find(a), find(b)), key=index.__getitem__)
+        if a == b:
+            return
+        parent[b] = a
+        # move the smaller set into the larger: an index moves O(log m) times
+        small, big = sorted((occurs.pop(a), occurs.pop(b)), key=len)
+        united.update(small & big)
+        big |= small
+        occurs[a] = big
+
+    def read(c: ConstraintInstance) -> None:
+        if c.kind == EQ2:
+            unite(*c.scope)
+            return
+        found = ineligible_singletons(c)
+        if found:
+            s = min(found, key=index.__getitem__)
+            for t in required_additions(c, {s}):
+                unite(s, t)
+
+    try:
+        for c in schema.constraints:
+            read(c)
+        while united:
+            todo, united = united, set()
+            for i in todo:
+                read(_rename(schema.constraints[i], find))
+    except DeadEndError:
+        return EqualityEliminationResult(schema, (), unsatisfiable=True)
+    if len(occurs) == len(tasks):  # one entry per group: nothing merged
+        return EqualityEliminationResult(schema, ())
+    groups: dict[str, list[str]] = {}
+    for t in tasks:
+        parent[t] = find(t)  # so that parent maps every task to its root
+        groups.setdefault(parent[t], []).append(t)
+    auth: dict[str, frozenset[str]] = {}
+    merges: list[MergeRecord] = []
+    for root, group in groups.items():
+        users = schema.auth[root]
+        for t in group[1:]:
+            users = users & schema.auth[t]
+            merges.append(MergeRecord(root, t, users))
+        auth[root] = users
+    constraints = tuple(
+        c if all(parent[t] == t for t in c.scope_set) else _rename(c, parent.__getitem__)
+        for c in schema.constraints if c.kind != EQ2 or c.scope[0] == c.scope[1])
+    reduced = WorkflowSchema(tuple(groups), schema.users, auth, constraints)
+    return EqualityEliminationResult(reduced, tuple(merges))
 
 
 @dataclass(frozen=True)

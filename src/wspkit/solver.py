@@ -94,6 +94,11 @@ def _constraints_by_depth(
     return by_depth
 
 
+def _check_budget(plan_cap: int) -> None:
+    if plan_cap < 0:
+        raise DomainError(f"plan_cap must be at least 0, got {plan_cap}")
+
+
 def _budget_exhausted(plan_cap: int) -> ResourceLimitError:
     return ResourceLimitError(
         f"search visited more than {plan_cap} nodes (node budget plan_cap)"
@@ -117,9 +122,11 @@ def solve_fpt(
 
     ``stats.partitions_examined`` counts search nodes (placements of a
     task in a block); more than ``plan_cap`` of them raise
-    ResourceLimitError. The search keeps its own stack, so any number of
-    tasks fits.
+    ResourceLimitError, and a negative ``plan_cap`` raises DomainError
+    before the search starts. The search keeps its own stack, so any
+    number of tasks fits.
     """
+    _check_budget(plan_cap)
     tasks = schema.tasks
     k, n = len(tasks), len(schema.users)
     by_depth = _constraints_by_depth(schema)
@@ -179,9 +186,10 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
     pruning never skips a valid plan, so the first plan found equals the
     first valid plan in the full lexicographic enumeration. plan_cap bounds
     the number of search nodes visited (authorized users tried), not the
-    raw plan space. The search keeps its own stack, so any number of tasks
-    fits.
+    raw plan space; a negative one raises DomainError before the search
+    starts. The search keeps its own stack, so any number of tasks fits.
     """
+    _check_budget(plan_cap)
     tasks, users = schema.tasks, schema.users
     k = len(tasks)
     by_depth = _constraints_by_depth(schema)

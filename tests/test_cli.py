@@ -85,6 +85,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: search visited more than 1 nodes (node budget plan_cap)\n"
 
+    @pytest.mark.parametrize("engine", ["fpt", "brute"])
+    def test_negative_node_budget(self, wstar_file, capsys, engine):
+        assert main(["solve", wstar_file, "--engine", engine, "--plan-cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: plan_cap must be at least 0, got -3\n")
+
     def test_invalid_plan_is_an_error(self, wstar_file, monkeypatch, capsys):
         bad = solver.SolveOutcome(
             solver.SATISFIABLE, Plan({"s1": "u1", "s2": "u1", "s3": "u1"})
@@ -149,6 +156,18 @@ class TestKernelize:
         assert reduced.tasks == ("s1", "s3")
         assert len(reduced.users) == 2
         assert "MERGES" in log.read_text()
+
+    def test_dead_end_keeps_the_tasks(self, tmp_path, capsys):
+        path = tmp_path / "dead.wsp"
+        path.write_text("tasks: a b c\nusers: u\nauth a: u\nauth b: u\nauth c: u\n"
+                        "constraint eq a c\nconstraint neq a b\nconstraint eq c b\n")
+        log = tmp_path / "kernel.log"
+        assert main(["kernelize", str(path), "--out", str(tmp_path / "o.wsp"),
+                     "--log", str(log)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("tasks: 3 -> 3\nusers: 1 -> 0\nconstraints: 3 -> 3\n")
+        assert "verdict: trivially-unsat" in printed
+        assert log.read_text() == "MERGES\nMARKED\n\nHARD\n\nREPS\n"
 
     def test_rejects_atmost(self, tmp_path):
         path = tmp_path / "atmost.wsp"
@@ -294,6 +313,14 @@ class TestClassify:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("split", [[], ["--split", "1"]], ids=["default-split", "split-1"])
+    @pytest.mark.parametrize("kind", ["bind", "sep"])
+    def test_two_set_kind_needs_two_tasks(self, capsys, kind, split):
+        assert main(["classify", "--kind", kind, "--arity", "1", *split]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {kind} takes two task sets, so --arity must be at least 2, got 1\n")
 
     @pytest.mark.parametrize("kind", ["bind", "sep"])
     def test_split_defaults_to_one(self, capsys, kind):

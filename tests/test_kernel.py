@@ -1,6 +1,7 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import random
+import time
 from itertools import combinations, product
 from typing import Optional
 from unittest import mock
@@ -112,6 +113,38 @@ class TestEliminateEqualities:
         )
         with pytest.raises(ClassificationError):
             eliminate_equalities(schema)
+
+    def test_merge_log_lists_each_group_in_task_order(self):
+        # t0, t1 and t2 share a user in every valid plan, whatever order the
+        # equalities are read in; the log lists t1 before t2, each with t0's
+        # users intersected with those of the group's tasks so far
+        schema = WorkflowSchema(
+            ("t0", "t1", "t2"), ("u", "v", "w"),
+            {"t0": {"u", "v", "w"}, "t1": {"u", "v"}, "t2": {"u", "w"}},
+            (equality("t0", "t2"), equality("t2", "t1")),
+        )
+        assert serialize_kernel_log(kernelize(schema)) == (
+            "MERGES\nt1 -> t0 : u v\nt2 -> t0 : u\nMARKED\nu\nHARD\n\nREPS\nt0 u\n"
+        )
+
+    def test_dead_end_returns_the_input_unmerged(self):
+        # the equalities put a and b on one user, where neq a b has no
+        # eligible superset of its singleton
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u",), {t: {"u"} for t in "abc"},
+            (equality("a", "c"), disequality("a", "b"), equality("c", "b")),
+        )
+        result = eliminate_equalities(schema)
+        assert result.schema is schema
+        assert result.merges == ()
+        assert result.unsatisfiable
+        reduced = kernelize(schema)
+        assert reduced.verdict == TRIVIALLY_UNSAT
+        assert serialize_instance(reduced.schema) == (
+            "tasks: a b c\nusers: \nauth a: \nauth b: \nauth c: \n"
+            "constraint eq a c\nconstraint neq a b\nconstraint eq c b\n"
+        )
+        assert serialize_kernel_log(reduced) == "MERGES\nMARKED\n\nHARD\n\nREPS\n"
 
 
 class TestMarkUsers:
@@ -401,7 +434,13 @@ def _merged(
     """The constraint after the merge, or None for an equality between the two."""
     if c.kind == EQ2 and set(c.scope) == {survivor, absorbed}:
         return None
-    return kernel._substitute(c, absorbed, survivor)
+
+    def sub(seq):
+        return [survivor if t == absorbed else t for t in seq]
+
+    if c.scope_sets is not None:
+        return ConstraintInstance(c.kind, c.params, scope_sets=map(sub, c.scope_sets))
+    return ConstraintInstance(c.kind, c.params, sub(c.scope))
 
 
 def merge_tasks(schema, survivor, absorbed):
@@ -428,9 +467,35 @@ def merge_tasks(schema, survivor, absorbed):
     return reduced, MergeRecord(survivor, absorbed, new_auth)
 
 
+def grouped_merges(schema, merges):
+    """The merges listed by group: the survivors in task order, each with
+    its absorbed tasks in task order, and each record's users the
+    survivor's authorization in the input intersected with those of the
+    group's tasks so far."""
+    survivor = {record.absorbed: record.surviving for record in merges}
+
+    def root(t):
+        while t in survivor:
+            t = survivor[t]
+        return t
+
+    groups = {}
+    for t in schema.tasks:
+        groups.setdefault(root(t), []).append(t)
+    grouped = []
+    for first, (_, *absorbed) in groups.items():
+        users = schema.auth[first]
+        for t in absorbed:
+            users = users & schema.auth[t]
+            grouped.append(MergeRecord(first, t, users))
+    return tuple(grouped)
+
+
 def restart_scan_eliminate_equalities(schema):
     """Merge at the first ineligible (task, constraint) pair in declaration
-    order, rebuild the schema with merge_tasks, and rescan from the start."""
+    order, rebuild the schema with merge_tasks, and rescan from the start.
+    A dead end returns the input unmerged; otherwise the merges come back
+    grouped by survivor (see grouped_merges)."""
     kernel._check_kinds(schema)
     merges = []
     current = schema
@@ -444,9 +509,7 @@ def restart_scan_eliminate_equalities(schema):
                 try:
                     additions = required_additions(c, {s})
                 except DeadEndError:
-                    return EqualityEliminationResult(
-                        current, tuple(merges), unsatisfiable=True
-                    )
+                    return EqualityEliminationResult(schema, (), unsatisfiable=True)
                 partner = current.sort_tasks(additions)[0]
                 current, record = merge_tasks(current, s, partner)
                 merges.append(record)
@@ -454,7 +517,7 @@ def restart_scan_eliminate_equalities(schema):
                 break
             if changed:
                 break
-    return EqualityEliminationResult(current, tuple(merges))
+    return EqualityEliminationResult(current, grouped_merges(schema, merges))
 
 
 def recursive_matching(left, adj):
@@ -740,9 +803,9 @@ def test_hall_violator_is_the_deficient_set(graph):
 
 
 def count_worklist(monkeypatch):
-    """Count the worklist's work: ineligible_singletons calls, heap pops,
-    and eligibility checks and required additions through the kernel."""
-    calls = {"singletons": 0, "pops": 0, "checks": 0, "additions": 0}
+    """Count equality elimination's work: ineligible_singletons calls, and
+    eligibility checks and required additions through the kernel."""
+    calls = {"singletons": 0, "checks": 0, "additions": 0}
 
     def counted(name, real):
         def call(*args):
@@ -752,7 +815,6 @@ def count_worklist(monkeypatch):
 
     monkeypatch.setattr(kernel, "ineligible_singletons",
                         counted("singletons", kernel.ineligible_singletons))
-    monkeypatch.setattr(kernel, "heappop", counted("pops", kernel.heappop))
     monkeypatch.setattr(kernel, "eligible_set", counted("checks", eligible_set))
     monkeypatch.setattr(kernel, "required_additions",
                         counted("additions", required_additions))
@@ -780,7 +842,6 @@ def test_elimination_checks_each_pair_a_bounded_number_of_times(monkeypatch):
     # every merge is an eq merge: no eligibility check, no required additions
     assert calls["checks"] == calls["additions"] == 0
     assert calls["singletons"] <= 2 * sum(c.arity for c in constraints if c.kind != EQ2)
-    assert calls["singletons"] + calls["pops"] <= 2 * sum(c.arity for c in constraints)
 
 
 def test_elimination_without_ineligible_pairs_pops_nothing(monkeypatch):
@@ -799,7 +860,7 @@ def test_elimination_without_ineligible_pairs_pops_nothing(monkeypatch):
     result = eliminate_equalities(schema)
     assert result.schema is schema
     assert result.merges == ()
-    assert calls["pops"] == calls["additions"] == calls["checks"] == 0
+    assert calls["additions"] == calls["checks"] == 0
     assert calls["singletons"] == len(constraints)
 
 
@@ -826,6 +887,37 @@ def test_whole_scope_closure_merges_in_polynomial_checks(monkeypatch, make):
     assert len(result.merge_log) == 29
     assert result.schema.tasks == ("t0",)
     assert calls <= 4 * len(tasks)
+
+
+SCALE_TASKS = tuple(f"t{i}" for i in range(10_000))
+HALF = SCALE_TASKS[:5_000]
+
+
+@pytest.mark.parametrize("constraints, kept", [
+    ([equality(a, b) for a, b in zip(SCALE_TASKS, SCALE_TASKS[1:])], ("t0",)),
+    ([equality(b, a) for a, b in zip(SCALE_TASKS, SCALE_TASKS[1:])][::-1], ("t0",)),
+    ([at_most(1, SCALE_TASKS)], ("t0",)),
+    ([per_user(10_000, 10_000, SCALE_TASKS)], ("t0",)),
+    ([equality(a, b) for a, b in zip(HALF, HALF[1:])]
+     + [at_least(2, SCALE_TASKS), separation(SCALE_TASKS[::2], SCALE_TASKS[1::2])],
+     ("t0",) + SCALE_TASKS[5_000:]),
+], ids=["eq-chain", "eq-chain-reversed", "atmost-1", "peruser-r-r", "half-eq-atleast-sep"])
+def test_elimination_scales_to_ten_thousand_tasks(monkeypatch, constraints, kept):
+    # Rewriting every constraint that names the absorbed task at each merge
+    # made the atmost, peruser and half-chain families quadratic; the two
+    # chains, declared in either order, time the eq path.
+    schema = WorkflowSchema(SCALE_TASKS, ("u", "v"),
+                            {t: {"u", "v"} for t in SCALE_TASKS}, constraints)
+    calls = count_worklist(monkeypatch)
+    start = time.perf_counter()
+    result = kernelize(schema)
+    elapsed = time.perf_counter() - start
+    assert len(result.merge_log) == len(SCALE_TASKS) - len(kept)
+    assert result.schema.tasks == kept
+    others = sum(c.kind != EQ2 for c in constraints)
+    assert calls["singletons"] <= 2 * others
+    assert calls["additions"] <= 2 * others
+    assert elapsed < 2
 
 
 def merge_shaped_schema(seed, groups, pigeonhole):
@@ -875,49 +967,44 @@ def test_elimination_matches_restart_scan_on_merge_shaped_schemas(seed, groups, 
 
 
 class TestStaleHeapEntries:
-    """Heap entries are not removed when their pair stops being current;
-    the pop skips them."""
+    """Pairs that a heap of (task, constraint) entries once held after
+    they stopped being current; the merges must still match the rescan."""
 
-    def eliminate(self, monkeypatch, tasks, constraints):
+    def eliminate(self, tasks, constraints):
         schema = WorkflowSchema(tasks, ("u",), {t: {"u"} for t in tasks}, constraints)
-        calls = count_worklist(monkeypatch)
         result = eliminate_equalities(schema)
         slow = restart_scan_eliminate_equalities(schema)
         assert result.merges == slow.merges
         assert result.unsatisfiable == slow.unsatisfiable
         assert serialize_instance(result.schema) == serialize_instance(slow.schema)
-        return result, calls["pops"]
+        return result
 
-    def test_queued_task_absorbed_by_an_equality(self, monkeypatch):
+    def test_queued_task_absorbed_by_an_equality(self):
         # eq(b, c) is queued at b, then a absorbs b through eq(a, b)
-        result, pops = self.eliminate(monkeypatch, ("a", "b", "c"),
-                                      (equality("b", "c"), equality("a", "b")))
+        result = self.eliminate(("a", "b", "c"),
+                                (equality("b", "c"), equality("a", "b")))
         assert [r[:2] for r in result.merges] == [("a", "b"), ("a", "c")]
-        assert pops == 3
 
-    def test_queued_task_absorbed_from_another_kind(self, monkeypatch):
+    def test_queued_task_absorbed_from_another_kind(self):
         # atmost 1 {b, c} is queued at b; its rewrite queues it again at a
-        result, pops = self.eliminate(monkeypatch, ("a", "b", "c"),
-                                      (at_most(1, ("b", "c")), equality("a", "b")))
+        result = self.eliminate(("a", "b", "c"),
+                                (at_most(1, ("b", "c")), equality("a", "b")))
         assert [r[:2] for r in result.merges] == [("a", "b"), ("a", "c")]
         assert result.schema.tasks == ("a",)
-        assert pops == 3
 
-    def test_queued_task_made_eligible_by_a_rewrite(self, monkeypatch):
+    def test_queued_task_made_eligible_by_a_rewrite(self):
         # both copies are queued at a; the first merge leaves each over {a}
         # alone, where {a} is eligible, while a is still in the schema
-        result, pops = self.eliminate(monkeypatch, ("a", "b"),
-                                      (at_most(1, ("b", "a")), at_most(1, ("b", "a"))))
+        result = self.eliminate(("a", "b"),
+                                (at_most(1, ("b", "a")), at_most(1, ("b", "a"))))
         assert [r[:2] for r in result.merges] == [("a", "b")]
         assert not result.unsatisfiable
-        assert pops == 2
 
-    def test_two_equalities_over_one_pair(self, monkeypatch):
-        result, pops = self.eliminate(monkeypatch, ("a", "b"),
-                                      (equality("a", "b"), equality("b", "a")))
+    def test_two_equalities_over_one_pair(self):
+        result = self.eliminate(("a", "b"),
+                                (equality("a", "b"), equality("b", "a")))
         assert [r[:2] for r in result.merges] == [("a", "b")]
         assert result.schema.constraints == ()
-        assert pops == 2
 
     def test_equality_outside_the_schema_is_refused(self, monkeypatch):
         schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}},
@@ -926,7 +1013,7 @@ class TestStaleHeapEntries:
         with pytest.raises(DomainError, match=r"^constraint #0 \(eq x y\) names "
                                               r"unknown task 'x'$"):
             eliminate_equalities(schema)
-        assert calls["pops"] == 0
+        assert calls["singletons"] == calls["additions"] == 0
 
     @pytest.mark.parametrize("constraints, message", [
         ((equality("a", "x"),), "constraint #0 (eq a x) names unknown task 'x'"),

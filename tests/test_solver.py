@@ -186,6 +186,23 @@ class TestSolveBruteforce:
         assert dict(outcome.plan.items()) == {t: "u2" for t in tasks}
 
 
+class TestNodeBudget:
+    @pytest.mark.parametrize("solve", [solve_fpt, solve_bruteforce], ids=["fpt", "brute"])
+    def test_negative_budget_refused(self, wstar, solve):
+        with pytest.raises(DomainError, match=r"^plan_cap must be at least 0, got -3$"):
+            solve(wstar, plan_cap=-3)
+
+    def test_negative_budget_refused_by_projection(self, wstar):
+        with pytest.raises(DomainError, match=r"^plan_cap must be at least 0, got -1$"):
+            project(wstar, {"s1"}, plan_cap=-1)
+
+    @pytest.mark.parametrize("solve", [solve_fpt, solve_bruteforce], ids=["fpt", "brute"])
+    def test_zero_budget_decides_the_empty_schema(self, solve):
+        outcome = solve(WorkflowSchema((), ("u",), {}), plan_cap=0)
+        assert outcome.satisfiable
+        assert dict(outcome.plan.items()) == {}
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_instances(self, seed):
