@@ -228,9 +228,11 @@ def ineligible_singletons(c: ConstraintInstance) -> frozenset[str]:
     for ``eq`` over two tasks, ``neq`` and ``sep`` over fewer than two,
     ``atmost 1`` over two or more, and ``atleast t`` over fewer than t;
     for a ``bind`` with disjoint sides, the sole task of each one-task
-    side. The singletons of a ``peruser`` class share a count vector, so
-    it makes one ``eligible_set`` check per class (one in all when no task
-    repeats). Every other kind's answer takes O(1) time.
+    side; and for a ``peruser`` that repeats no task, the whole scope when
+    t_low >= 2 (a singleton's load is 1, and with t_low = 1 the rest
+    groups one task per group). The singletons of a repeating
+    ``peruser``'s class share a count vector, so it makes one
+    ``eligible_set`` check per class. Every other answer takes O(1) time.
     """
     r = len(c.scope_set)
     if c.kind == EQ2:
@@ -247,7 +249,7 @@ def ineligible_singletons(c: ConstraintInstance) -> frozenset[str]:
             return frozenset()
         return frozenset(t for side in (left, right) if len(side) == 1 for t in side)
     elif len(c.scope) == r:
-        bad = not eligible_set(c, c.scope_set[:1])
+        bad = c.params[0] >= 2
     else:
         return frozenset(t for ts in _classes(c)[1]
                          if not eligible_set(c, ts[:1]) for t in ts)

@@ -82,11 +82,17 @@ class ConstraintInstance:
         return len(self.scope_set)
 
     def dedup_key(self) -> tuple:
-        """Deduplication key: scopes as sets, but peruser scopes as multisets."""
+        """Deduplication key: scopes as sets, but peruser scopes as multisets.
+
+        A peruser scope that repeats a task is keyed by its (task, count)
+        pairs; one that repeats none is keyed by its task set, like the
+        other kinds, since each of its counts is 1. The two forms never
+        compare equal, as a scope is nonempty.
+        """
         if self.scope_sets is not None:
             return (self.kind, self.params, frozenset(self.scope_sets[0]),
                     frozenset(self.scope_sets[1]))
-        if self.kind == PERUSER:
+        if self.kind == PERUSER and len(self.scope) != len(self.scope_set):
             return (self.kind, self.params, frozenset(Counter(self.scope).items()))
         return (self.kind, self.params, frozenset(self.scope))
 
@@ -159,21 +165,38 @@ class WorkflowSchema:
         object.__setattr__(self, "auth", MappingProxyType(norm))
 
     # Computed once per schema: the fields they derive from never change.
+    # The plain dicts serve as sort keys; the public views are read-only.
+    @cached_property
+    def _task_positions(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.tasks)}
+
+    @cached_property
+    def _user_positions(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
     @cached_property
     def task_index(self) -> Mapping[str, int]:
-        return MappingProxyType({t: i for i, t in enumerate(self.tasks)})
+        return MappingProxyType(self._task_positions)
 
     @cached_property
     def user_index(self) -> Mapping[str, int]:
-        return MappingProxyType({u: i for i, u in enumerate(self.users)})
+        return MappingProxyType(self._user_positions)
 
     def sort_tasks(self, tasks: Iterable[str]) -> tuple[str, ...]:
-        idx = self.task_index
-        return tuple(sorted(tasks, key=lambda t: (idx.get(t, len(idx)), t)))
+        return in_order(self._task_positions, tasks)
 
     def sort_users(self, users: Iterable[str]) -> tuple[str, ...]:
-        idx = self.user_index
-        return tuple(sorted(users, key=lambda u: (idx.get(u, len(idx)), u)))
+        return in_order(self._user_positions, users)
+
+
+def in_order(positions: dict[str, int], names: Iterable[str]) -> tuple[str, ...]:
+    """names sorted by their positions; names without one last, by name."""
+    names = tuple(names)
+    try:
+        return tuple(sorted(names, key=positions.__getitem__))
+    except KeyError:
+        last = len(positions)
+        return tuple(sorted(names, key=lambda x: (positions.get(x, last), x)))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from wspkit.core import (
     Plan,
     WorkflowSchema,
     describe,
+    in_order,
 )
 from wspkit.classify import RelationSpec
 from wspkit.errors import DomainError, ParseError
@@ -151,8 +152,8 @@ def parse_plan(text: str) -> Plan:
 
 def serialize_plan(plan: Plan, task_order: Sequence[str] = ()) -> str:
     order = {t: i for i, t in enumerate(task_order)}
-    items = sorted(plan.items(), key=lambda kv: (order.get(kv[0], len(order)), kv[0]))
-    return "".join(f"{t} {u}\n" for t, u in items)
+    assignment = plan.assignment
+    return "".join(f"{t} {assignment[t]}\n" for t in in_order(order, assignment))
 
 
 def parse_relation_spec(text: str) -> RelationSpec:
@@ -283,7 +284,7 @@ def serialize_kernel_log(result: KernelResult) -> str:
     index = {u: i for i, u in enumerate(result.user_order)}
     lines = ["MERGES"]
     for rec in result.merge_log:
-        users = sorted(rec.intersected_auth, key=lambda u: (index.get(u, len(index)), u))
+        users = in_order(index, rec.intersected_auth)
         lines.append(f"{rec.absorbed} -> {rec.surviving} : " + " ".join(users))
     lines.append("MARKED")
     lines.append(" ".join(result.marked))

@@ -109,45 +109,58 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     """
     tasks = schema.tasks
     index = schema.task_index
-    parent = {t: t for t in tasks}
-    # by root, the constraints other than eq naming a task of its group
-    occurs: dict[str, set[int]] = {t: set() for t in tasks}
+    # over task indices: each group's tree, and by root, the constraints
+    # other than eq naming a task of its group (None off the roots)
+    parent = list(range(len(tasks)))
+    occurs: list[Optional[set[int]]] = [set() for _ in tasks]
     for i, c in enumerate(schema.constraints):
         for t in c.scope_set:
-            if t not in parent:
+            j = index.get(t)
+            if j is None:
                 raise unknown_task(i, c, t)
             if c.kind != EQ2:
-                occurs[t].add(i)
+                occurs[j].add(i)
     _check_kinds(schema)
     # the constraints naming tasks of two groups united in this round
     united: set[int] = set()
+    merged = 0
 
-    def find(t: str) -> str:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
 
-    def unite(a: str, b: str) -> None:
-        a, b = sorted((find(a), find(b)), key=index.__getitem__)
+    def unite(a: int, b: int) -> None:
+        nonlocal merged
+        a, b = find(a), find(b)
         if a == b:
             return
+        if b < a:
+            a, b = b, a
         parent[b] = a
+        merged += 1
         # move the smaller set into the larger: an index moves O(log m) times
-        small, big = sorted((occurs.pop(a), occurs.pop(b)), key=len)
-        united.update(small & big)
-        big |= small
-        occurs[a] = big
+        small, big = occurs[a], occurs[b]
+        if len(small) > len(big):
+            small, big = big, small
+        occurs[a], occurs[b] = big, None
+        if small:
+            united.update(small & big)
+            big |= small
+
+    def root_of(t: str) -> str:
+        return tasks[find(index[t])]
 
     def read(c: ConstraintInstance) -> None:
         if c.kind == EQ2:
-            unite(*c.scope)
+            unite(index[c.scope[0]], index[c.scope[1]])
             return
         found = ineligible_singletons(c)
         if found:
-            s = min(found, key=index.__getitem__)
-            for t in required_additions(c, {s}):
-                unite(s, t)
+            s = min(map(index.__getitem__, found))
+            for t in required_additions(c, {tasks[s]}):
+                unite(s, index[t])
 
     try:
         for c in schema.constraints:
@@ -155,15 +168,16 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
         while united:
             todo, united = united, set()
             for i in todo:
-                read(_rename(schema.constraints[i], find))
+                read(_rename(schema.constraints[i], root_of))
     except DeadEndError:
         return EqualityEliminationResult(schema, (), unsatisfiable=True)
-    if len(occurs) == len(tasks):  # one entry per group: nothing merged
+    if not merged:
         return EqualityEliminationResult(schema, ())
+    # every task's root, and the groups in task order
+    rename = {t: root_of(t) for t in tasks}
     groups: dict[str, list[str]] = {}
-    for t in tasks:
-        parent[t] = find(t)  # so that parent maps every task to its root
-        groups.setdefault(parent[t], []).append(t)
+    for t, r in rename.items():
+        groups.setdefault(r, []).append(t)
     auth: dict[str, frozenset[str]] = {}
     merges: list[MergeRecord] = []
     for root, group in groups.items():
@@ -173,7 +187,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
             merges.append(MergeRecord(root, t, users))
         auth[root] = users
     constraints = tuple(
-        c if all(parent[t] == t for t in c.scope_set) else _rename(c, parent.__getitem__)
+        c if all(rename[t] == t for t in c.scope_set) else _rename(c, rename.__getitem__)
         for c in schema.constraints if c.kind != EQ2 or c.scope[0] == c.scope[1])
     reduced = WorkflowSchema(tuple(groups), schema.users, auth, constraints)
     return EqualityEliminationResult(reduced, tuple(merges))
@@ -200,16 +214,20 @@ def mark_users(schema: WorkflowSchema) -> MarkingResult:
     ``hard`` is in task order; ``marked`` is the violator users in user
     order, then the representatives in task order.
     """
+    tasks = schema.tasks
+    users = schema.users
     index = schema.user_index
-    adj = {t: sorted((u for u in schema.auth[t] if u in index), key=index.__getitem__)
-           for t in schema.tasks}
-    matching = maximum_matching(schema.tasks, adj)
-    deficient = hall_violator(schema.tasks, matching, adj) or frozenset()
-    violators = {u for t in deficient for u in adj[t]}
-    reps = {t: matching[t] for t in schema.tasks if t not in deficient}
+    # on task and user indices; names come back only in the result
+    adj = {i: sorted([index[u] for u in schema.auth[t] if u in index])
+           for i, t in enumerate(tasks)}
+    left = range(len(tasks))
+    matching = maximum_matching(left, adj)
+    deficient = hall_violator(left, matching, adj) or frozenset()
+    violators = sorted({u for i in deficient for u in adj[i]})
+    reps = {tasks[i]: users[matching[i]] for i in left if i not in deficient}
     return MarkingResult(
-        schema.sort_users(violators) + tuple(reps.values()),
-        tuple(t for t in schema.tasks if t in deficient),
+        tuple(users[u] for u in violators) + tuple(reps.values()),
+        tuple(tasks[i] for i in sorted(deficient)),
         reps,
     )
 

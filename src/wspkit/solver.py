@@ -130,7 +130,9 @@ def solve_fpt(
     tasks = schema.tasks
     k, n = len(tasks), len(schema.users)
     by_depth = _constraints_by_depth(schema)
-    stats = SolveStats()
+    # auth_at[d]: the authorization of the task at depth d
+    auth_at = [schema.auth[t] for t in tasks]
+    nodes = matchings = 0
     label: dict[str, int] = {}
     # common[b]: the users authorized for every task of open block b
     common: list[frozenset[str]] = []
@@ -143,12 +145,11 @@ def solve_fpt(
         if depth < k and next_label[depth] <= min(len(common), n - 1):
             b = next_label[depth]
             next_label[depth] = b + 1
-            stats.partitions_examined += 1
-            if stats.partitions_examined > plan_cap:
+            nodes += 1
+            if nodes > plan_cap:
                 raise _budget_exhausted(plan_cap)
-            t = tasks[depth]
             previous = common[b] if b < len(common) else None
-            users = schema.auth[t] if previous is None else previous & schema.auth[t]
+            users = auth_at[depth] if previous is None else previous & auth_at[depth]
             if not users:
                 continue
             if previous is None:
@@ -156,19 +157,19 @@ def solve_fpt(
             else:
                 common[b] = users
             before[depth] = previous
-            label[t] = b
+            label[tasks[depth]] = b
             if all(eligible_partition(c, label) for c in by_depth[depth]):
                 depth += 1
                 next_label[depth] = 0
                 continue
         else:
             if depth == k:
-                stats.matchings_attempted += 1
+                matchings += 1
                 plan = assign_blocks(schema, label)
                 if plan is not None:
-                    return SolveOutcome(SATISFIABLE, plan, stats)
+                    return SolveOutcome(SATISFIABLE, plan, SolveStats(nodes, matchings))
             if depth == 0:
-                return SolveOutcome(UNSATISFIABLE, None, stats)
+                return SolveOutcome(UNSATISFIABLE, None, SolveStats(nodes, matchings))
             depth -= 1
         # take the task at this depth back out of its block
         if before[depth] is None:

@@ -424,6 +424,20 @@ def test_ineligible_singletons_match_eligible_set(c):
         t for t in c.scope_set if not eligible_set(c, {t})}
 
 
+def test_unrepeated_peruser_singletons_in_closed_form():
+    # every peruser without repeats over r <= 11 tasks, t_low <= 7, t_high <= 9
+    cases = 0
+    for r in range(1, 12):
+        scope = tuple(f"t{i}" for i in range(r))
+        for t_high in range(1, 10):
+            for t_low in range(1, min(7, t_high) + 1):
+                c = per_user(t_low, t_high, scope)
+                assert ineligible_singletons(c) == {
+                    t for t in scope if not eligible_set(c, {t})}
+                cases += 1
+    assert cases == 462
+
+
 class TestLargePeruser:
     def test_grouping_search_runs_on_its_own_stack(self):
         # 1 000 tasks repeated twice and 1 000 once: grouping the rest of

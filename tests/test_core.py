@@ -66,6 +66,15 @@ class TestConstraintInstance:
         with pytest.raises(DomainError):
             at_most(0, ("a", "b"))
 
+    def test_peruser_dedup_keys_count_repeats(self):
+        plain = per_user(1, 2, ("a", "b", "c"))
+        repeated = per_user(1, 2, ("a", "b", "c", "a"))
+        assert plain.dedup_key() == per_user(1, 2, ("c", "a", "b")).dedup_key()
+        assert repeated.dedup_key() == per_user(1, 2, ("a", "c", "a", "b")).dedup_key()
+        assert plain.dedup_key() != repeated.dedup_key()
+        assert plain.dedup_key() != per_user(1, 3, ("a", "b", "c")).dedup_key()
+        assert plain.dedup_key() != at_most(1, ("a", "b", "c")).dedup_key()
+
     def test_scope_set_keeps_first_occurrence_order(self):
         c = per_user(1, 2, ("b", "a", "b", "c"))
         assert c.scope_set == ("b", "a", "c")
@@ -234,6 +243,13 @@ class TestSchemaIndexes:
         assert wstar.user_index["u6"] == 5
         with pytest.raises(TypeError):
             wstar.task_index["s4"] = 3
+
+    def test_sort_puts_unknown_names_last_by_name(self, wstar):
+        assert wstar.sort_tasks(["zz", "s3", "a0", "s1"]) == ("s1", "s3", "a0", "zz")
+        assert wstar.sort_users(iter(["u6", "x", "u1", "b"])) == ("u1", "u6", "b", "x")
+        assert wstar.sort_users(frozenset({"u5", "u2"})) == ("u2", "u5")
+        assert wstar.sort_tasks(("s2", "s1", "s2")) == ("s1", "s2", "s2")
+        assert wstar.sort_users(()) == ()
 
     def test_equality_hashing_and_repr_unchanged(self, wstar):
         fresh = WorkflowSchema(wstar.tasks, wstar.users, wstar.auth, wstar.constraints)

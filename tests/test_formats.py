@@ -79,6 +79,15 @@ class TestInstanceFormat:
     def test_canonical_round_trip(self, wstar):
         assert formats.serialize_instance(wstar) == WSTAR_TEXT
 
+    def test_names_outside_the_schema_serialize_last_by_name(self):
+        # validate_schema reports such names; serializing still orders them
+        schema = WorkflowSchema(("a", "b"), ("v", "u"),
+                                {"a": {"z", "u", "b", "v"}, "b": {"u"}},
+                                (separation(("zz", "b", "x"), ("a",)),))
+        assert formats.serialize_instance(schema) == (
+            "tasks: a b\nusers: v u\nauth a: v u b z\nauth b: u\n"
+            "constraint sep {b,x,zz} {a}\n")
+
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\ntasks: a\nusers: u\n\nauth a: u\n"
         schema = formats.parse_instance(text)

@@ -305,6 +305,20 @@ class TestKernelize:
         if result.verdict == REDUCED:
             assert not solve_bruteforce(result.schema).satisfiable
 
+    def test_permuted_peruser_scopes_dedup_to_one(self):
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u", "v", "w"), {t: {"u", "v", "w"} for t in "abc"},
+            (
+                per_user(1, 2, ("a", "b", "c")),
+                per_user(1, 2, ("c", "a", "b")),
+                per_user(1, 2, ("a", "b", "c", "a")),
+                per_user(1, 2, ("b", "a", "c", "a")),
+            ),
+        )
+        result = kernelize(schema)
+        assert result.merge_log == ()
+        assert result.schema.constraints == schema.constraints[::2]
+
 
 @st.composite
 def merged_peruser_schemas(draw):
