@@ -300,12 +300,11 @@ def validate_schema(schema: WorkflowSchema) -> SchemaReport:
     """Report invariant violations and trivially-unsatisfiable warnings."""
     errors: list[str] = []
     warnings: list[str] = []
-    if len(set(schema.tasks)) != len(schema.tasks):
+    tasks, users = set(schema.tasks), set(schema.users)
+    if len(tasks) != len(schema.tasks):
         errors.append("duplicate task identifiers")
-    if len(set(schema.users)) != len(schema.users):
+    if len(users) != len(schema.users):
         errors.append("duplicate user identifiers")
-    users = set(schema.users)
-    tasks = set(schema.tasks)
     # containment is tested first; the difference is built only to report it
     for t in schema.tasks:
         auth = schema.auth[t]

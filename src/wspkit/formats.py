@@ -12,7 +12,6 @@ ignored on input; serializers may emit '#' header comments.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 from wspkit.core import (
@@ -32,8 +31,6 @@ from wspkit.kernel import KernelResult
 from wspkit.partitions import blocks, growth_string
 from wspkit.reductions import CnfFormula, MchsInstance
 
-_SET_RE = re.compile(r"\{([^{}]*)\}")
-
 
 def _content_lines(text: str) -> list[str]:
     out = []
@@ -45,13 +42,14 @@ def _content_lines(text: str) -> list[str]:
 
 
 def _parse_set(token: str) -> tuple[str, ...]:
-    m = _SET_RE.fullmatch(token)
-    if not m:
+    """The names of a ``{a,b}`` token: braces at both ends and nowhere else."""
+    inner = token[1:-1]
+    if token[:1] != "{" or token[-1:] != "}" or "{" in inner or "}" in inner:
         raise ParseError(f"expected a {{...}} task set, got {token!r}")
-    inner = m.group(1).strip()
+    inner = inner.strip()
     if not inner:
         raise ParseError("empty task set")
-    names = tuple(x.strip() for x in inner.split(","))
+    names = tuple(map(str.strip, inner.split(",")))
     if "" in names:
         raise ParseError(f"empty task name in {token!r}")
     return names
@@ -80,7 +78,7 @@ def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:
         if shape == PAIR:
             return ConstraintInstance(kind, (), (args[1], args[2]))
         if shape == SETS:
-            return ConstraintInstance(kind, scope_sets=map(_parse_set, args[1:]))
+            return ConstraintInstance(kind, (), (), (_parse_set(args[1]), _parse_set(args[2])))
         return ConstraintInstance(kind, tuple(map(int, args[1:-1])), _parse_set(args[-1]))
     except (ValueError, DomainError) as exc:
         raise ParseError(f"bad constraint {' '.join(args)!r}: {exc}") from exc
@@ -281,7 +279,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def serialize_kernel_log(result: KernelResult) -> str:
-    index = {u: i for i, u in enumerate(result.user_order)}
+    index = {u: i for i, u in enumerate(result.user_order)} if result.merge_log else {}
     lines = ["MERGES"]
     for rec in result.merge_log:
         users = in_order(index, rec.intersected_auth)

@@ -34,7 +34,7 @@ from wspkit.core import (
     is_valid_plan,
     unknown_task,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError
+from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
 from wspkit.matching import hall_violator, maximum_matching
 
 # kinds that are regular and intersection-closed whatever their scope
@@ -108,7 +108,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     then ClassificationError if some kind does not qualify, before any merge.
     """
     tasks = schema.tasks
-    index = schema.task_index
+    index = schema._task_positions
     # over task indices: each group's tree, and by root, the constraints
     # other than eq naming a task of its group (None off the roots)
     parent = list(range(len(tasks)))
@@ -212,14 +212,20 @@ def mark_users(schema: WorkflowSchema) -> MarkingResult:
     representatives that avoids N(D), and its users are marked. So the
     marked users are exactly those M covers, at most one per task.
     ``hard`` is in task order; ``marked`` is the violator users in user
-    order, then the representatives in task order.
+    order, then the representatives in task order. Raises DomainError if
+    an authorization names a user outside the schema; its message names
+    the first such task and that task's least unknown user.
     """
-    tasks = schema.tasks
-    users = schema.users
-    index = schema.user_index
+    tasks, users = schema.tasks, schema.users
+    auth, positions = schema.auth, schema._user_positions
+    position = positions.__getitem__
     # on task and user indices; names come back only in the result
-    adj = {i: sorted([index[u] for u in schema.auth[t] if u in index])
-           for i, t in enumerate(tasks)}
+    try:
+        adj = {i: sorted(map(position, auth[t])) for i, t in enumerate(tasks)}
+    except KeyError:
+        t = next(t for t in tasks if not auth[t] <= positions.keys())
+        raise DomainError(f"authorization of {t} names unknown user "
+                          f"{min(auth[t] - positions.keys())!r}") from None
     left = range(len(tasks))
     matching = maximum_matching(left, adj)
     deficient = hall_violator(left, matching, adj) or frozenset()
@@ -250,7 +256,8 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
     authorized user) marks no user, so its kernel keeps the tasks and
     constraints and has no users. Raises ClassificationError if some
     constraint kind does not qualify, and DomainError if a constraint
-    names a task outside the schema.
+    names a task outside the schema or, when users are marked, a merged
+    task's authorization names a user outside it.
     """
     elim = eliminate_equalities(schema)
     merged = elim.schema
@@ -259,8 +266,8 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
     marked = set(marking.marked)
     reduced = WorkflowSchema(
         tasks=merged.tasks,
-        users=tuple(u for u in merged.users if u in marked),
-        auth={t: merged.auth[t] & marked for t in merged.tasks},
+        users=tuple(filter(marked.__contains__, merged.users)),
+        auth={t: users & marked for t, users in merged.auth.items()},
         constraints=_dedup_constraints(merged.constraints),
     )
     return KernelResult(

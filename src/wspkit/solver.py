@@ -83,7 +83,7 @@ def _constraints_by_depth(
     constraint at that depth, where its scope first becomes complete.
     Raises DomainError naming the constraint if it names an unknown task.
     """
-    index = schema.task_index
+    index = schema._task_positions
     by_depth: list[list[ConstraintInstance]] = [[] for _ in schema.tasks]
     for i, c in enumerate(schema.constraints):
         try:

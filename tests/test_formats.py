@@ -225,6 +225,56 @@ def catalog_constraints(draw):
     return ConstraintInstance(kind, tuple(sorted(params)), tuple(scope))
 
 
+# The task-set parser as it was when it matched the token with a regex.
+_SET_RE = re.compile(r"\{([^{}]*)\}")
+
+
+def regex_parse_set(token: str) -> tuple[str, ...]:
+    m = _SET_RE.fullmatch(token)
+    if not m:
+        raise ParseError(f"expected a {{...}} task set, got {token!r}")
+    inner = m.group(1).strip()
+    if not inner:
+        raise ParseError("empty task set")
+    names = tuple(x.strip() for x in inner.split(","))
+    if "" in names:
+        raise ParseError(f"empty task name in {token!r}")
+    return names
+
+
+def parse_set_outcome(parse, token: str):
+    """The names parsed from token, or the text of the ParseError raised."""
+    try:
+        return parse(token)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestParseSet:
+    """``_parse_set`` tests its braces with string checks, as the regex did."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(["{", "}", ",", " ", "a", "b"]), max_size=8).map("".join))
+    def test_agrees_with_the_regex(self, token):
+        assert (parse_set_outcome(formats._parse_set, token)
+                == parse_set_outcome(regex_parse_set, token))
+
+    @pytest.mark.parametrize("token,outcome", [
+        ("{", "expected a {...} task set, got '{'"),
+        ("}", "expected a {...} task set, got '}'"),
+        ("{}", "empty task set"),
+        ("{ }", "empty task set"),
+        ("{a{b}", "expected a {...} task set, got '{a{b}'"),
+        ("a}", "expected a {...} task set, got 'a}'"),
+        ("{a,}", "empty task name in '{a,}'"),
+        ("{ , }", "empty task name in '{ , }'"),
+        ("{a, b}", ("a", "b")),
+    ])
+    def test_fixed_cases(self, token, outcome):
+        assert parse_set_outcome(formats._parse_set, token) == outcome
+        assert parse_set_outcome(regex_parse_set, token) == outcome
+
+
 class TestCatalog:
     """Every kind's syntax comes from its CATALOG shape."""
 

@@ -217,6 +217,22 @@ class TestMarkUsers:
         log = serialize_kernel_log(kernelize(schema))
         assert log.endswith("MARKED\nu0 u1 u2 u3\nHARD\nt2 t3 t4\nREPS\nt0 u2\nt1 u3\n")
 
+    def test_authorization_naming_an_unknown_user_is_refused(self):
+        # dropping zz would leave a with no user and call the instance
+        # reduced, with an empty auth line for a
+        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"zz"}, "b": {"u"}},
+                                (disequality("a", "b"),))
+        for entry in (mark_users, kernelize):
+            with pytest.raises(DomainError) as caught:
+                entry(schema)
+            assert str(caught.value) == "authorization of a names unknown user 'zz'"
+
+    def test_refusal_names_the_first_task_and_its_least_unknown_user(self):
+        schema = WorkflowSchema(("a", "b", "c"), ("u",),
+                                {"a": {"u"}, "b": {"zz", "u", "yy"}, "c": {"xx"}})
+        with pytest.raises(DomainError, match=r"^authorization of b names unknown user 'yy'$"):
+            mark_users(schema)
+
 
 class TestKernelize:
     def test_running_example(self, wstar):
