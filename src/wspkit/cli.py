@@ -14,7 +14,7 @@ from pathlib import Path
 
 from wspkit import classify as cls
 from wspkit import formats, kernel, reductions, solver
-from wspkit.core import CATALOG, PAIR, SETS, is_valid_plan, validate_schema
+from wspkit.core import CATALOG, PAIR, SETS, is_valid_plan
 from wspkit.errors import ContractError, WspError
 from wspkit.formats import parse_constraint_line
 
@@ -31,16 +31,8 @@ def _write_out(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_schema(path: str):
-    schema = formats.parse_instance(_read(path))
-    report = validate_schema(schema)
-    if report.errors:
-        raise WspError("invalid instance: " + "; ".join(report.errors))
-    return schema
-
-
 def cmd_solve(args) -> int:
-    schema = _load_schema(args.instance)
+    schema = formats.parse_instance(_read(args.instance))
     engine = solver.solve_fpt if args.engine == "fpt" else solver.solve_bruteforce
     outcome = engine(schema, plan_cap=args.plan_cap)
     if outcome.satisfiable and not is_valid_plan(schema, outcome.plan):
@@ -53,7 +45,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    schema = _load_schema(args.instance)
+    schema = formats.parse_instance(_read(args.instance))
     plan = formats.parse_plan(_read(args.plan))
     verdict = is_valid_plan(schema, plan)
     if verdict:
@@ -65,7 +57,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    schema = _load_schema(args.instance)
+    schema = formats.parse_instance(_read(args.instance))
     result = kernel.kernelize(schema)
     reduced = result.schema
     print(f"tasks: {len(schema.tasks)} -> {len(reduced.tasks)}")

@@ -150,6 +150,12 @@ class WorkflowSchema:
 
     Identifiers are opaque strings; all tie-breaking follows declaration
     order. Instances are immutable; transformations build new schemas.
+    A schema is well-formed once built: its tasks are distinct, its users
+    are distinct, the authorization lists are for its tasks and name only
+    its users, and the constraints name only its tasks. A task without an
+    authorization entry gets an empty list. The constructor refuses any
+    other schema with one DomainError: ``invalid instance:`` and every
+    fault, joined by ``; ``.
     """
 
     tasks: tuple[str, ...]
@@ -158,14 +164,35 @@ class WorkflowSchema:
     constraints: tuple[ConstraintInstance, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        norm = {t: frozenset(self.auth.get(t, ())) for t in self.tasks}
+        tasks, users, auth = tuple(self.tasks), tuple(self.users), self.auth
+        constraints = tuple(self.constraints)
+        norm = {t: frozenset(auth.get(t, ())) for t in tasks}
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "auth", MappingProxyType(norm))
+        faults: list[str] = []
+        task_set, user_set = set(tasks), set(users)
+        if len(task_set) != len(tasks):
+            faults.append("duplicate task identifiers")
+        if len(user_set) != len(users):
+            faults.append("duplicate user identifiers")
+        # containment is tested first; the difference is built only to report it
+        for t in tasks:
+            if not user_set.issuperset(norm[t]):
+                faults.append(f"authorization of {t} names unknown users: "
+                              f"{sorted(norm[t] - user_set)}")
+        if not task_set.issuperset(auth):
+            faults.append(f"authorization for unknown tasks: {sorted(set(auth) - task_set)}")
+        for i, c in enumerate(constraints):
+            if not task_set.issuperset(c.scope_set):
+                faults.append(f"constraint #{i} ({describe(c)}) names unknown tasks: "
+                              f"{sorted(set(c.scope_set) - task_set)}")
+        if faults:
+            raise DomainError("invalid instance: " + "; ".join(faults))
 
     # Computed once per schema: the fields they derive from never change.
-    # The plain dicts serve as sort keys; the public views are read-only.
+    # They serve as sort keys and as task and user indices.
     @cached_property
     def _task_positions(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tasks)}
@@ -173,14 +200,6 @@ class WorkflowSchema:
     @cached_property
     def _user_positions(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.users)}
-
-    @cached_property
-    def task_index(self) -> Mapping[str, int]:
-        return MappingProxyType(self._task_positions)
-
-    @cached_property
-    def user_index(self) -> Mapping[str, int]:
-        return MappingProxyType(self._user_positions)
 
     def sort_tasks(self, tasks: Iterable[str]) -> tuple[str, ...]:
         return in_order(self._task_positions, tasks)
@@ -281,11 +300,6 @@ def describe(c: ConstraintInstance, order: Callable = tuple) -> str:
     return "%s %s {%s}" % (c.kind, " ".join(map(str, c.params)), ",".join(order(c.scope)))
 
 
-def unknown_task(i: int, c: ConstraintInstance, task: str) -> DomainError:
-    """The error for constraint #i naming a task outside the schema."""
-    return DomainError(f"constraint #{i} ({describe(c)}) names unknown task {task!r}")
-
-
 @dataclass(frozen=True)
 class SchemaReport:
     errors: tuple[str, ...]
@@ -297,31 +311,14 @@ class SchemaReport:
 
 
 def validate_schema(schema: WorkflowSchema) -> SchemaReport:
-    """Report invariant violations and trivially-unsatisfiable warnings."""
-    errors: list[str] = []
-    warnings: list[str] = []
-    tasks, users = set(schema.tasks), set(schema.users)
-    if len(tasks) != len(schema.tasks):
-        errors.append("duplicate task identifiers")
-    if len(users) != len(schema.users):
-        errors.append("duplicate user identifiers")
-    # containment is tested first; the difference is built only to report it
-    for t in schema.tasks:
-        auth = schema.auth[t]
-        if not users.issuperset(auth):
-            errors.append(
-                f"authorization of {t} names unknown users: {sorted(auth - users)}"
-            )
-        if not auth:
-            warnings.append(f"task {t} has an empty authorization list "
-                            "(instance is trivially unsatisfiable)")
-    for i, c in enumerate(schema.constraints):
-        if not tasks.issuperset(c.scope_set):
-            unknown = sorted(set(c.scope_set) - tasks)
-            errors.append(
-                f"constraint #{i} ({describe(c)}) names unknown tasks: {unknown}"
-            )
-    return SchemaReport(tuple(errors), tuple(warnings))
+    """Warn of trivially-unsatisfiable empty authorization lists.
+
+    ``errors`` is always empty: a schema that is not well-formed is
+    refused when it is built.
+    """
+    return SchemaReport((), tuple(
+        f"task {t} has an empty authorization list (instance is trivially unsatisfiable)"
+        for t in schema.tasks if not schema.auth[t]))
 
 
 import wspkit.constraints  # noqa: E402  (last: it imports the names above)

@@ -86,7 +86,9 @@ def parse_constraint_line(args: Sequence[str]) -> ConstraintInstance:
 
 def parse_instance(text: str) -> WorkflowSchema:
     """A schema from instance text, in one pass over its stripped lines,
-    testing the most frequent prefixes (``constraint``, ``auth``) first."""
+    testing the most frequent prefixes (``constraint``, ``auth``) first.
+    A schema that is not well-formed raises ParseError with the text of
+    the constructor's DomainError."""
     tasks: tuple[str, ...] | None = None
     users: tuple[str, ...] | None = None
     auth: dict[str, frozenset[str]] = {}
@@ -117,10 +119,10 @@ def parse_instance(text: str) -> WorkflowSchema:
             raise ParseError(f"unrecognized line: {line!r}")
     if tasks is None or users is None:
         raise ParseError("document must declare tasks: and users:")
-    unknown = set(auth) - set(tasks)
-    if unknown:
-        raise ParseError(f"auth lines for unknown tasks: {sorted(unknown)}")
-    return WorkflowSchema(tasks, users, auth, tuple(constraints))
+    try:
+        return WorkflowSchema(tasks, users, auth, tuple(constraints))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def serialize_instance(schema: WorkflowSchema, header: Sequence[str] = ()) -> str:

@@ -32,9 +32,8 @@ from wspkit.core import (
     WorkflowSchema,
     describe,
     is_valid_plan,
-    unknown_task,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.errors import ClassificationError, ContractError, DeadEndError
 from wspkit.matching import hall_violator, maximum_matching
 
 # kinds that are regular and intersection-closed whatever their scope
@@ -104,23 +103,16 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     renamed once and every ``eq`` over two tasks dropped. The merge log
     lists each root's absorbed tasks in task order, each record with the
     root's authorization intersected with those of the group so far.
-    Raises DomainError if a constraint names a task outside the schema,
-    then ClassificationError if some kind does not qualify, before any merge.
+    Raises ClassificationError if some kind does not qualify, before any merge.
     """
+    _check_kinds(schema)
     tasks = schema.tasks
     index = schema._task_positions
     # over task indices: each group's tree, and by root, the constraints
-    # other than eq naming a task of its group (None off the roots)
+    # other than eq naming a task of its group (None off the roots), built
+    # at the first union, while every group is still one task
     parent = list(range(len(tasks)))
-    occurs: list[Optional[set[int]]] = [set() for _ in tasks]
-    for i, c in enumerate(schema.constraints):
-        for t in c.scope_set:
-            j = index.get(t)
-            if j is None:
-                raise unknown_task(i, c, t)
-            if c.kind != EQ2:
-                occurs[j].add(i)
-    _check_kinds(schema)
+    occurs: list[Optional[set[int]]] = []
     # the constraints naming tasks of two groups united in this round
     united: set[int] = set()
     merged = 0
@@ -138,6 +130,12 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
             return
         if b < a:
             a, b = b, a
+        if not merged:
+            occurs.extend(set() for _ in tasks)
+            for i, c in enumerate(schema.constraints):
+                if c.kind != EQ2:
+                    for t in c.scope_set:
+                        occurs[index[t]].add(i)
         parent[b] = a
         merged += 1
         # move the smaller set into the larger: an index moves O(log m) times
@@ -212,20 +210,12 @@ def mark_users(schema: WorkflowSchema) -> MarkingResult:
     representatives that avoids N(D), and its users are marked. So the
     marked users are exactly those M covers, at most one per task.
     ``hard`` is in task order; ``marked`` is the violator users in user
-    order, then the representatives in task order. Raises DomainError if
-    an authorization names a user outside the schema; its message names
-    the first such task and that task's least unknown user.
+    order, then the representatives in task order.
     """
-    tasks, users = schema.tasks, schema.users
-    auth, positions = schema.auth, schema._user_positions
-    position = positions.__getitem__
+    tasks, users, auth = schema.tasks, schema.users, schema.auth
+    position = schema._user_positions.__getitem__
     # on task and user indices; names come back only in the result
-    try:
-        adj = {i: sorted(map(position, auth[t])) for i, t in enumerate(tasks)}
-    except KeyError:
-        t = next(t for t in tasks if not auth[t] <= positions.keys())
-        raise DomainError(f"authorization of {t} names unknown user "
-                          f"{min(auth[t] - positions.keys())!r}") from None
+    adj = {i: sorted(map(position, auth[t])) for i, t in enumerate(tasks)}
     left = range(len(tasks))
     matching = maximum_matching(left, adj)
     deficient = hall_violator(left, matching, adj) or frozenset()
@@ -255,9 +245,7 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
     unsatisfiable instance (elimination dead-ended, or a merged task has no
     authorized user) marks no user, so its kernel keeps the tasks and
     constraints and has no users. Raises ClassificationError if some
-    constraint kind does not qualify, and DomainError if a constraint
-    names a task outside the schema or, when users are marked, a merged
-    task's authorization names a user outside it.
+    constraint kind does not qualify.
     """
     elim = eliminate_equalities(schema)
     merged = elim.schema

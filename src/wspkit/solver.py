@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Mapping, Optional
 
 from wspkit.constraints import eligible_partition
-from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, unknown_task
+from wspkit.core import ConstraintInstance, Plan, WorkflowSchema
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.matching import maximum_matching
 # Not called here: bench/tracing.py rebinds solver.growth_strings, and the
@@ -81,16 +81,11 @@ def _constraints_by_depth(
 
     A search that assigns tasks in declaration order checks each
     constraint at that depth, where its scope first becomes complete.
-    Raises DomainError naming the constraint if it names an unknown task.
     """
-    index = schema._task_positions
+    position = schema._task_positions.__getitem__
     by_depth: list[list[ConstraintInstance]] = [[] for _ in schema.tasks]
-    for i, c in enumerate(schema.constraints):
-        try:
-            depth = max(index[t] for t in c.scope_set)
-        except KeyError as exc:
-            raise unknown_task(i, c, exc.args[0]) from None
-        by_depth[depth].append(c)
+    for c in schema.constraints:
+        by_depth[max(map(position, c.scope_set))].append(c)
     return by_depth
 
 

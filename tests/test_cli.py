@@ -123,6 +123,31 @@ class TestUnexpectedErrors:
         assert "error: unexpected RecursionError" in capsys.readouterr().err
 
 
+class TestInvalidInstance:
+    @pytest.mark.parametrize("text, fault", [
+        ("tasks: a b\nusers: u\nauth a: u zz\nauth b: u\n",
+         "authorization of a names unknown users: ['zz']"),
+        ("tasks: a b\nusers: u v\nauth a: u\nauth b: v\nconstraint neq a ghost\n",
+         "constraint #0 (neq a ghost) names unknown tasks: ['ghost']"),
+        ("tasks: a b a\nusers: u\nauth a: u\nauth b: u\n", "duplicate task identifiers"),
+        ("tasks: a\nusers: u\nauth a: u\nauth b: u\n",
+         "authorization for unknown tasks: ['b']"),
+    ], ids=["unknown-user", "unknown-task", "duplicate-task", "unknown-auth"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "kernelize"])
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, command, text, fault):
+        instance, plan, out = (tmp_path / name for name in ("bad.wsp", "plan.txt", "out.wsp"))
+        instance.write_text(text)
+        plan.write_text("a u\nb u\n")
+        argv = {"solve": ["solve", str(instance)],
+                "verify": ["verify", str(instance), str(plan)],
+                "kernelize": ["kernelize", str(instance), "--out", str(out)]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid instance: {fault}\n"
+        assert not out.exists()
+
+
 class TestVerify:
     def test_valid_plan(self, wstar_file, tmp_path):
         plan = tmp_path / "plan.txt"

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wspkit
 from wspkit.core import (
@@ -25,6 +27,7 @@ from wspkit.core import (
     validate_schema,
 )
 from wspkit.errors import DomainError
+from wspkit.reductions import gen_random_instance
 
 
 class TestSatisfies:
@@ -223,27 +226,77 @@ class TestValidateSchema:
     def test_running_example_clean(self, wstar):
         assert validate_schema(wstar).clean
 
-    def test_unknown_scope_task(self):
-        schema = WorkflowSchema(("a",), ("u",), {"a": {"u"}},
-                                (disequality("a", "ghost"),))
-        report = validate_schema(schema)
-        assert any("ghost" in e for e in report.errors)
-
     def test_empty_authorization_warns(self):
         schema = WorkflowSchema(("a",), ("u",), {"a": set()})
         report = validate_schema(schema)
         assert report.warnings and not report.errors
 
 
-class TestSchemaIndexes:
-    def test_computed_once_and_read_only(self, wstar):
-        assert wstar.task_index is wstar.task_index
-        assert wstar.user_index is wstar.user_index
-        assert dict(wstar.task_index) == {"s1": 0, "s2": 1, "s3": 2}
-        assert wstar.user_index["u6"] == 5
-        with pytest.raises(TypeError):
-            wstar.task_index["s4"] = 3
+ALL_KINDS = ["eq", "neq", "bind", "sep", "atmost", "atleast", "peruser"]
 
+
+def refusal(tasks, users, auth, constraints=()):
+    """The text of the DomainError that building the schema raises."""
+    with pytest.raises(DomainError) as caught:
+        WorkflowSchema(tasks, users, auth, constraints)
+    return str(caught.value)
+
+
+class TestWellFormed:
+    def test_unknown_scope_task(self):
+        assert refusal(("a",), ("u",), {"a": {"u"}}, (disequality("a", "ghost"),)) == (
+            "invalid instance: constraint #0 (neq a ghost) names unknown tasks: ['ghost']")
+
+    def test_authorization_for_unknown_tasks(self):
+        assert refusal(("a",), ("u",), {"a": {"u"}, "c": set(), "b": {"u"}}) == (
+            "invalid instance: authorization for unknown tasks: ['b', 'c']")
+
+    def test_every_fault_in_order(self):
+        text = refusal(("a", "b", "a"), ("u", "u"), {"a": {"v"}, "x": {"u"}},
+                       (disequality("a", "ghost"), at_most(1, ("b",)),
+                        separation(("y",), ("a", "z"))))
+        assert text == (
+            "invalid instance: duplicate task identifiers; duplicate user identifiers; "
+            "authorization of a names unknown users: ['v']; "
+            "authorization of a names unknown users: ['v']; "
+            "authorization for unknown tasks: ['x']; "
+            "constraint #0 (neq a ghost) names unknown tasks: ['ghost']; "
+            "constraint #2 (sep {y} {a,z}) names unknown tasks: ['y', 'z']")
+
+    def test_missing_authorization_is_empty(self):
+        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}})
+        assert schema.auth["b"] == frozenset()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(2, 6), n=st.integers(1, 5),
+           m=st.integers(0, 6), fault=st.sampled_from(
+               ["user", "scope", "auth", "task", "duplicate-user"]),
+           data=st.data())
+    def test_one_injected_fault_is_named(self, seed, k, n, m, fault, data):
+        schema = gen_random_instance(k, n, m, ALL_KINDS, seed)
+        assert validate_schema(schema).errors == ()
+        tasks, users = schema.tasks, schema.users
+        auth, constraints = dict(schema.auth), schema.constraints
+        t = data.draw(st.sampled_from(tasks))
+        if fault == "user":
+            auth[t] = auth[t] | {"zz"}
+            named = f"authorization of {t} names unknown users: ['zz']"
+        elif fault == "scope":
+            constraints += (disequality(t, "ghost"),)
+            named = f"constraint #{m} (neq {t} ghost) names unknown tasks: ['ghost']"
+        elif fault == "auth":
+            auth["ghost"] = frozenset(users[:1])
+            named = "authorization for unknown tasks: ['ghost']"
+        elif fault == "task":
+            tasks += (t,)
+            named = "duplicate task identifiers"
+        else:
+            users += (data.draw(st.sampled_from(users)),)
+            named = "duplicate user identifiers"
+        assert refusal(tasks, users, auth, constraints) == "invalid instance: " + named
+
+
+class TestSchemaIndexes:
     def test_sort_puts_unknown_names_last_by_name(self, wstar):
         assert wstar.sort_tasks(["zz", "s3", "a0", "s1"]) == ("s1", "s3", "a0", "zz")
         assert wstar.sort_users(iter(["u6", "x", "u1", "b"])) == ("u1", "u6", "b", "x")
@@ -254,7 +307,7 @@ class TestSchemaIndexes:
     def test_equality_hashing_and_repr_unchanged(self, wstar):
         fresh = WorkflowSchema(wstar.tasks, wstar.users, wstar.auth, wstar.constraints)
         text = repr(fresh)
-        assert wstar.task_index and wstar.user_index  # fills the caches
+        assert wstar._task_positions and wstar._user_positions  # fills the caches
         assert wstar == fresh and fresh == wstar
         assert repr(wstar) == text
         assert "index" not in repr(wstar)

@@ -217,21 +217,29 @@ class TestMarkUsers:
         log = serialize_kernel_log(kernelize(schema))
         assert log.endswith("MARKED\nu0 u1 u2 u3\nHARD\nt2 t3 t4\nREPS\nt0 u2\nt1 u3\n")
 
-    def test_authorization_naming_an_unknown_user_is_refused(self):
+    @pytest.mark.parametrize("auth, constraint", [
         # dropping zz would leave a with no user and call the instance
         # reduced, with an empty auth line for a
-        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"zz"}, "b": {"u"}},
-                                (disequality("a", "b"),))
-        for entry in (mark_users, kernelize):
-            with pytest.raises(DomainError) as caught:
-                entry(schema)
-            assert str(caught.value) == "authorization of a names unknown user 'zz'"
+        ({"a": {"zz"}, "b": {"u"}}, disequality("a", "b")),
+        # marking never reads a trivially unsatisfiable instance
+        ({"a": {"zz"}, "b": set()}, disequality("a", "b")),
+        # the merge intersects zz away before marking
+        ({"a": {"u"}, "b": {"u", "zz"}}, equality("a", "b")),
+    ], ids=["marked", "trivially-unsat", "merged-away"])
+    def test_schema_naming_an_unknown_user_is_refused_when_built(self, auth, constraint):
+        task = "a" if "zz" in auth["a"] else "b"
+        with pytest.raises(DomainError) as caught:
+            WorkflowSchema(("a", "b"), ("u",), auth, (constraint,))
+        assert str(caught.value) == (
+            f"invalid instance: authorization of {task} names unknown users: ['zz']")
 
-    def test_refusal_names_the_first_task_and_its_least_unknown_user(self):
-        schema = WorkflowSchema(("a", "b", "c"), ("u",),
-                                {"a": {"u"}, "b": {"zz", "u", "yy"}, "c": {"xx"}})
-        with pytest.raises(DomainError, match=r"^authorization of b names unknown user 'yy'$"):
-            mark_users(schema)
+    def test_refusal_names_every_task_and_its_unknown_users(self):
+        with pytest.raises(DomainError) as caught:
+            WorkflowSchema(("a", "b", "c"), ("u",),
+                           {"a": {"u"}, "b": {"zz", "u", "yy"}, "c": {"xx"}})
+        assert str(caught.value) == (
+            "invalid instance: authorization of b names unknown users: ['yy', 'zz']; "
+            "authorization of c names unknown users: ['xx']")
 
 
 class TestKernelize:
@@ -1036,34 +1044,21 @@ class TestStaleHeapEntries:
         assert [r[:2] for r in result.merges] == [("a", "b")]
         assert result.schema.constraints == ()
 
-    def test_equality_outside_the_schema_is_refused(self, monkeypatch):
-        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}},
-                                (equality("x", "y"), equality("a", "b")))
-        calls = count_worklist(monkeypatch)
-        with pytest.raises(DomainError, match=r"^constraint #0 \(eq x y\) names "
-                                              r"unknown task 'x'$"):
-            eliminate_equalities(schema)
-        assert calls["singletons"] == calls["additions"] == 0
-
-    @pytest.mark.parametrize("constraints, message", [
-        ((equality("a", "x"),), "constraint #0 (eq a x) names unknown task 'x'"),
+    @pytest.mark.parametrize("constraints, fault", [
+        ((equality("x", "y"), equality("a", "b")),
+         "constraint #0 (eq x y) names unknown tasks: ['x', 'y']"),
+        ((equality("a", "x"),), "constraint #0 (eq a x) names unknown tasks: ['x']"),
         ((equality("b", "x"), equality("a", "b")),
-         "constraint #0 (eq b x) names unknown task 'x'"),
+         "constraint #0 (eq b x) names unknown tasks: ['x']"),
         ((disequality("a", "ghost"), equality("a", "b")),
-         "constraint #0 (neq a ghost) names unknown task 'ghost'"),
+         "constraint #0 (neq a ghost) names unknown tasks: ['ghost']"),
         ((at_most(2, ("a", "b", "ghost")),),
-         "constraint #0 (atmost 2 {a,b,ghost}) names unknown task 'ghost'"),
-    ], ids=["declared", "rewritten", "untouched", "not-closed"])
-    def test_constraint_naming_a_task_outside_the_schema(self, constraints, message):
-        schema = WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}}, constraints)
-        for entry in (eliminate_equalities, kernelize, solve_fpt):
-            with pytest.raises(DomainError) as caught:
-                entry(schema)
-            assert str(caught.value) == message
-        if constraints[0].kind == EQ2:
-            # the reference finds the unknown task only when it merges it
-            with pytest.raises(DomainError, match="both tasks must belong to the schema"):
-                restart_scan_eliminate_equalities(schema)
+         "constraint #0 (atmost 2 {a,b,ghost}) names unknown tasks: ['ghost']"),
+    ], ids=["outside", "declared", "rewritten", "untouched", "not-closed"])
+    def test_constraint_naming_a_task_outside_the_schema(self, constraints, fault):
+        with pytest.raises(DomainError) as caught:
+            WorkflowSchema(("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}}, constraints)
+        assert str(caught.value) == "invalid instance: " + fault
 
 
 def test_merge_record_fields_by_name_and_position():

@@ -322,23 +322,3 @@ class TestAssignBlocks:
             plan = assign_blocks(schema, ints)
             for label in (reversed_ints, strs, sets):
                 assert assign_blocks(schema, label) == plan
-
-
-class TestUnknownScopeTask:
-    SCHEMA = WorkflowSchema(("a",), ("u",), {"a": {"u"}},
-                            (disequality("a", "ghost"),))
-
-    @pytest.mark.parametrize("entry", [
-        solve_fpt,
-        solve_bruteforce,
-        lambda schema: project(schema, {"a"}),
-    ], ids=["fpt", "bruteforce", "project"])
-    def test_domain_error_names_the_task(self, entry):
-        with pytest.raises(DomainError, match="'ghost'"):
-            entry(self.SCHEMA)
-
-    def test_oracle_names_the_constraint(self):
-        for entry in (solve_fpt, solve_bruteforce,
-                      lambda schema: project(schema, set())):
-            with pytest.raises(DomainError, match=r"constraint #0 \(neq a ghost\)"):
-                entry(self.SCHEMA)
