@@ -14,9 +14,8 @@ from pathlib import Path
 
 from wspkit import classify as cls
 from wspkit import formats, kernel, reductions, solver
-from wspkit.core import CATALOG, PAIR, SETS, is_valid_plan
+from wspkit.core import is_valid_plan
 from wspkit.errors import ContractError, WspError
-from wspkit.formats import parse_constraint_line
 
 
 def _read(path: str) -> str:
@@ -79,40 +78,9 @@ def _spec_from_args(args) -> cls.RelationSpec:
         spec = formats.parse_relation_spec(_read(args.spec))
         cls.check_arity(spec.arity, args.arity_cap)
         return spec
-    kind = args.kind
-    if not kind:
-        raise WspError("classify needs a spec file or --kind")
-    entry = CATALOG.get(kind)
-    if entry is None:
-        raise WspError(f"unknown kind {kind!r}")
-    shape, bounds = entry
-    arity = (2 if shape == PAIR else 3) if args.arity is None else args.arity
-    if arity < 1:
-        raise WspError(f"--arity must be at least 1, got {arity}")
-    # default bounds: 2 for one bound, 1,2 for two
-    params = args.params.split(",") if args.params else ["1", "2"][2 - bounds:]
-    if len(params) != bounds:
-        raise WspError(f"{kind} takes {bounds} --params values, got {args.params!r}")
-    if shape != SETS and args.split is not None:
-        raise WspError(f"{kind} has no two task sets to split, got --split {args.split}")
-    names = [str(i) for i in range(1, arity + 1)]
-    if shape == PAIR:
-        if arity != 2:
-            raise WspError(f"{kind} has arity 2, got --arity {arity}")
-        tokens = [kind, *names]
-    elif shape == SETS:
-        if arity < 2:
-            raise WspError(f"{kind} takes two task sets, so --arity must be at least 2, "
-                           f"got {arity}")
-        split = 1 if args.split is None else args.split
-        if not 1 <= split < arity:
-            raise WspError(f"--split must lie in 1..{arity - 1}, got {split}")
-        tokens = [kind,
-                  "{%s}" % ",".join(names[:split]),
-                  "{%s}" % ",".join(names[split:])]
-    else:
-        tokens = [kind, *params, "{%s}" % ",".join(names)]
-    constraint = parse_constraint_line(tokens)
+    if not args.constraint:
+        raise WspError("classify needs a spec file or --constraint")
+    constraint = formats.parse_constraint_line(args.constraint.split())
     return cls.spec_from_constraint(constraint, arity_cap=args.arity_cap)
 
 
@@ -206,13 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a relation")
     p.add_argument("spec", nargs="?", help="relation spec file")
-    p.add_argument("--kind", help="catalog kind instead of a spec file")
-    p.add_argument("--params", help="comma-separated integer parameters")
-    p.add_argument("--arity", type=int, help="default 2 for two-task kinds, else 3")
-    p.add_argument("--split", type=int,
-                   help="left set size for two-set kinds (default 1)")
+    p.add_argument("--constraint",
+                   help="one constraint in instance syntax instead of a spec file, "
+                        "e.g. 'bind {1} {2,3}'")
     p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP,
-                   help="largest arity to classify, for a spec file or --kind "
+                   help="largest arity to classify, for a spec file or --constraint "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_classify)
 

@@ -178,10 +178,10 @@ class WorkflowSchema:
         if len(user_set) != len(users):
             faults.append("duplicate user identifiers")
         # containment is tested first; the difference is built only to report it
-        for t in tasks:
-            if not user_set.issuperset(norm[t]):
+        for t, a in norm.items():
+            if not user_set.issuperset(a):
                 faults.append(f"authorization of {t} names unknown users: "
-                              f"{sorted(norm[t] - user_set)}")
+                              f"{sorted(a - user_set)}")
         if not task_set.issuperset(auth):
             faults.append(f"authorization for unknown tasks: {sorted(set(auth) - task_set)}")
         for i, c in enumerate(constraints):

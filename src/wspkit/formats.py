@@ -206,8 +206,6 @@ def parse_mchs(text: str) -> MchsInstance:
             if vertices is not None:
                 raise ParseError("repeated vertices: line")
             vertices = tuple(line.split(":", 1)[1].split())
-            if len(set(vertices)) < len(vertices):
-                raise ParseError(f"vertex listed twice: {line!r}")
         elif line.startswith("color "):
             parts = line.split()
             if len(parts) != 3:
@@ -227,9 +225,6 @@ def parse_mchs(text: str) -> MchsInstance:
         raise ParseError("document must declare vertices:")
     if not coloring:
         raise ParseError("document must assign colors")
-    unknown = set(coloring) - set(vertices)
-    if unknown:
-        raise ParseError(f"color lines for unknown vertices: {sorted(unknown)}")
     num_colors = max(coloring.values(), default=0)
     try:
         return MchsInstance(vertices, tuple(sets), num_colors, coloring)

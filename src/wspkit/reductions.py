@@ -50,7 +50,11 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class MchsInstance:
-    """Multi-colored hitting set: pick one vertex per color hitting every set."""
+    """Multi-colored hitting set: pick one vertex per color hitting every set.
+
+    Well-formed once built: the vertices are distinct, the coloring names
+    only vertices and gives each one a color in 1..num_colors, no color
+    class is empty, and the sets hold only vertices."""
 
     vertices: tuple[str, ...]
     sets: tuple[frozenset[str], ...]
@@ -64,6 +68,11 @@ class MchsInstance:
         )
         object.__setattr__(self, "coloring", dict(self.coloring))
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            twice = {v for v in self.vertices if self.vertices.count(v) > 1}
+            raise DomainError(f"vertex listed twice: {sorted(twice)}")
+        if not vs.issuperset(self.coloring):
+            raise DomainError(f"colors for unknown vertices: {sorted(set(self.coloring) - vs)}")
         for e in self.sets:
             if not e <= vs:
                 raise DomainError(f"set member outside the vertex set: {sorted(e - vs)}")

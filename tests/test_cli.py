@@ -236,24 +236,56 @@ class TestKernelize:
 
 class TestClassify:
     def test_binding_singleton_side(self, capsys):
-        assert main(["classify", "--kind", "bind", "--arity", "3",
-                     "--split", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "regular: yes" in out
-        assert "intersection-closed: no" in out
-        assert "ternary-gadget condition: yes" in out
+        assert main(["classify", "--constraint", "bind {1} {2,3}"]) == 0
+        assert capsys.readouterr().out == (
+            "arity: 3\n"
+            "regular: yes\n"
+            "intersection-closed: no\n"
+            "  witness: [1, 2] and [1, 3]\n"
+            "ternary-gadget condition: yes\n")
 
     def test_disequality(self, capsys):
-        assert main(["classify", "--kind", "neq", "--arity", "2"]) == 0
+        assert main(["classify", "--constraint", "neq 1 2"]) == 0
         out = capsys.readouterr().out
         assert "regular: yes" in out and "intersection-closed: yes" in out
 
-    @pytest.mark.parametrize("kind, arity", [
-        ("eq", 2), ("neq", 2), ("atmost", 3), ("sep", 3),
+    @pytest.mark.parametrize("line", [
+        "peruser 2 3 {1,1,2,3}", "bind {1} {1,2}", "sep {1,2} {2,3}", "bind {a,b} {c,d}",
     ])
-    def test_default_arity(self, capsys, kind, arity):
-        assert main(["classify", "--kind", kind]) == 0
+    def test_verdicts_match_classification(self, capsys, line):
+        from wspkit.constraints import classification
+
+        assert main(["classify", "--constraint", line]) == 0
+        out = capsys.readouterr().out
+        regular, closed = classification(formats.parse_constraint_line(line.split()))
+        assert f"regular: {'yes' if regular else 'no'}\n" in out
+        if closed is None:
+            assert "intersection-closed" not in out
+        else:
+            assert f"intersection-closed: {'yes' if closed else 'no'}\n" in out
+
+    @pytest.mark.parametrize("line, arity", [
+        ("eq 1 2", 2), ("neq 1 2", 2), ("atmost 1 {1,2,3}", 3), ("sep {1} {2,3}", 3),
+        ("peruser 2 3 {1,1,2,3}", 3), ("bind {1} {1,2}", 2), ("eq 1 1", 1),
+    ])
+    def test_arity_counts_distinct_tasks(self, capsys, line, arity):
+        assert main(["classify", "--constraint", line]) == 0
         assert capsys.readouterr().out.startswith(f"arity: {arity}\n")
+
+    @pytest.mark.parametrize("line", [
+        "eq a b", "atmost 2 {a,b,c}", "bind {a} {b,c}", "sep {a,b} {c}",
+        "peruser 1 2 {a,b,c}",
+    ])
+    def test_same_output_as_its_spec_file(self, tmp_path, capsys, line):
+        from wspkit.classify import spec_from_constraint
+
+        assert main(["classify", "--constraint", line]) == 0
+        inline = capsys.readouterr().out
+        path = tmp_path / "rel.spec"
+        path.write_text(serialize_relation_spec(
+            spec_from_constraint(formats.parse_constraint_line(line.split()))))
+        assert main(["classify", str(path)]) == 0
+        assert capsys.readouterr().out == inline
 
     def test_two_sided_binding_spec_file(self, tmp_path, capsys):
         from wspkit.classify import spec_from_constraint
@@ -265,15 +297,15 @@ class TestClassify:
         assert main(["classify", str(path)]) == 0
         assert "regular: no" in capsys.readouterr().out
 
-    def test_needs_spec_or_kind(self, capsys):
+    def test_needs_spec_or_constraint(self, capsys):
         assert main(["classify"]) == 2
 
-    @pytest.mark.parametrize("argv", [[], ["--kind", ""]], ids=["none", "empty"])
-    def test_needs_spec_or_kind_message(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [[], ["--constraint", ""]], ids=["none", "empty"])
+    def test_needs_spec_or_constraint_message(self, capsys, argv):
         assert main(["classify", *argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "error: classify needs a spec file or --kind\n")
+            "", "error: classify needs a spec file or --constraint\n")
 
     def test_malformed_spec_position(self, tmp_path, capsys):
         path = tmp_path / "rel.spec"
@@ -311,48 +343,31 @@ class TestClassify:
         assert main(["classify", str(path), "--arity-cap", "2"]) == 2
         assert capsys.readouterr().err == "error: arity 3 exceeds the enumeration cap 2\n"
 
-    @pytest.mark.parametrize("args", [
-        ["--kind", "peruser", "--params", "3"],
-        ["--kind", "peruser", "--params", "1,2,3"],
-        ["--kind", "eq", "--arity", "0"],
-        ["--kind", "atmost", "--arity", "-1"],
-        ["--kind", "bind", "--arity", "3", "--split", "-1"],
-        ["--kind", "sep", "--arity", "3", "--split", "0"],
-        ["--kind", "bind", "--arity", "3", "--split", "3"],
-        ["--kind", "sep", "--arity", "1"],
-        ["--kind", "neq", "--arity", "5"],
-        ["--kind", "eq", "--arity", "1"],
-        ["--kind", "eq", "--params", "3"],
-        ["--kind", "neq", "--arity", "2", "--params", "1,2"],
-        ["--kind", "atmost", "--params", "2,3"],
-        ["--kind", "atmost", "--split", "2"],
-        ["--kind", "eq", "--split", "1"],
-        ["--kind", "peruser", "--split", "1"],
-    ], ids=["peruser-one-bound", "peruser-three-bounds", "eq-arity-0", "atmost-arity-negative",
-            "bind-split-negative", "sep-split-0", "bind-split-arity", "sep-arity-1",
-            "neq-arity-5", "eq-arity-1", "eq-params", "neq-params", "atmost-two-bounds",
-            "atmost-split", "eq-split", "peruser-split"])
-    def test_bad_arguments(self, capsys, args):
-        assert main(["classify", *args]) == 2
+    @pytest.mark.parametrize("line, message", [
+        ("  ", "empty constraint"),
+        ("foo {1,2}", "unknown constraint kind 'foo'"),
+        ("bind {1, 2} {3}", "task set '{1, 2}' has spaces; write sets without spaces"),
+        ("neq 1", "neq takes 2 arguments, got 1"),
+        ("atmost x {1,2,3}", "bad constraint 'atmost x {1,2,3}': "
+                             "invalid literal for int() with base 10: 'x'"),
+        ("peruser 3 2 {1,2,3}", "bad constraint 'peruser 3 2 {1,2,3}': "
+                                "peruser takes 2 integer bounds rising from 1, got (3, 2)"),
+        ("peruser 2 2 {1,1,2,2,3}", "constraint is unsatisfiable; no eligible partition"),
+        ("peruser 3 {1,2,3}", "peruser takes 3 arguments, got 2"),
+        ("eq 1 2 3", "eq takes 2 arguments, got 3"),
+        ("sep {} {1}", "empty task set"),
+        ("sep {1,2} {3", "expected a {...} task set, got '{3'"),
+        ("atmost 0 {1,2}", "bad constraint 'atmost 0 {1,2}': "
+                           "atmost takes 1 integer bounds rising from 1, got (0,)"),
+        ("neq 1 1", "constraint is unsatisfiable; no eligible partition"),
+        ("sep {1} {1}", "constraint is unsatisfiable; no eligible partition"),
+    ], ids=["empty", "unknown-kind", "spaced-set", "argument-count", "non-integer",
+            "falling-bounds", "unsatisfiable", "one-bound", "extra-argument", "empty-set",
+            "unclosed-set", "bound-below-one", "neq-repeated-task", "sep-same-set"])
+    def test_malformed_constraint(self, capsys, line, message):
+        assert main(["classify", "--constraint", line]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-
-    @pytest.mark.parametrize("split", [[], ["--split", "1"]], ids=["default-split", "split-1"])
-    @pytest.mark.parametrize("kind", ["bind", "sep"])
-    def test_two_set_kind_needs_two_tasks(self, capsys, kind, split):
-        assert main(["classify", "--kind", kind, "--arity", "1", *split]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", f"error: {kind} takes two task sets, so --arity must be at least 2, got 1\n")
-
-    @pytest.mark.parametrize("kind", ["bind", "sep"])
-    def test_split_defaults_to_one(self, capsys, kind):
-        assert main(["classify", "--kind", kind]) == 0
-        default = capsys.readouterr().out
-        assert main(["classify", "--kind", kind, "--split", "1"]) == 0
-        assert capsys.readouterr().out == default
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestReduce:
@@ -415,13 +430,13 @@ class TestReduce:
 
     @pytest.mark.parametrize("source, text, message", [
         ("mchs", "vertices: a a b\ncolor a 1\ncolor b 2\nset: a\n",
-         "vertex listed twice: 'vertices: a a b'"),
+         "vertex listed twice: ['a']"),
         ("mchs", "vertices: a b\nvertices: a\ncolor a 1\ncolor b 2\nset: a\n",
          "repeated vertices: line"),
         ("mchs", "vertices: a b\ncolor a 1\ncolor b 2\ncolor b 1\nset: a\n",
          "repeated color line for vertex b"),
         ("mchs", "vertices: a b\ncolor a 1\ncolor b 2\ncolor c 2\nset: a\n",
-         "color lines for unknown vertices: ['c']"),
+         "colors for unknown vertices: ['c']"),
         ("sat", "p cnf 2 1\np cnf 2 2\n1 0\n2 0\n",
          "repeated problem line: 'p cnf 2 2'"),
     ], ids=["vertex-twice", "vertices-line", "color-line", "undeclared", "problem-line"])

@@ -258,7 +258,6 @@ class TestWellFormed:
         assert text == (
             "invalid instance: duplicate task identifiers; duplicate user identifiers; "
             "authorization of a names unknown users: ['v']; "
-            "authorization of a names unknown users: ['v']; "
             "authorization for unknown tasks: ['x']; "
             "constraint #0 (neq a ghost) names unknown tasks: ['ghost']; "
             "constraint #2 (sep {y} {a,z}) names unknown tasks: ['y', 'z']")

@@ -288,10 +288,9 @@ class TestCatalog:
             formats.parse_constraint_line([kind, "a", "b"])
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            assert main(["classify", "--kind", kind]) == 2
+            assert main(["classify", "--constraint", f"{kind} a b"]) == 2
         assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert err.getvalue() == f"error: unknown constraint kind {kind!r}\n"
 
 
 class TestPlanFormat:

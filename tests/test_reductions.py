@@ -177,6 +177,17 @@ class TestMchsToWsp:
         with pytest.raises(DomainError, match="at least one color"):
             MchsInstance((), (), 0, {})
 
+    @pytest.mark.parametrize("vertices, sets, coloring, message", [
+        (("a", "a", "b"), ("a",), {"a": 1, "b": 1}, "vertex listed twice: ['a']"),
+        (("a", "b"), ("a",), {"a": 1, "b": 1, "zz": 7}, "colors for unknown vertices: ['zz']"),
+        (("a", "a", "b"), ("a",), {"a": 1, "b": 1, "zz": 7}, "vertex listed twice: ['a']"),
+        (("a", "b"), ("q",), {"a": 1, "zz": 1}, "colors for unknown vertices: ['zz']"),
+    ], ids=["twice", "unknown", "twice-first", "unknown-before-sets"])
+    def test_malformed_instance_refused_when_built(self, vertices, sets, coloring, message):
+        with pytest.raises(DomainError) as info:
+            MchsInstance(vertices, tuple(map(frozenset, sets)), 1, coloring)
+        assert str(info.value) == message
+
     def test_authorization_layout(self):
         inst = MchsInstance(
             vertices=("a", "b", "c"),
