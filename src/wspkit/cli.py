@@ -15,7 +15,7 @@ from pathlib import Path
 from wspkit import classify as cls
 from wspkit import formats, kernel, reductions, solver
 from wspkit.core import is_valid_plan
-from wspkit.errors import ContractError, WspError
+from wspkit.errors import WspError
 
 
 def _read(path: str) -> str:
@@ -35,7 +35,7 @@ def cmd_solve(args) -> int:
     engine = solver.solve_fpt if args.engine == "fpt" else solver.solve_bruteforce
     outcome = engine(schema, plan_cap=args.plan_cap)
     if outcome.satisfiable and not is_valid_plan(schema, outcome.plan):
-        raise ContractError("solver returned an invalid plan")
+        raise WspError("solver returned an invalid plan")
     print(f"status: {outcome.status}")
     if not outcome.satisfiable:
         return 1
@@ -74,6 +74,8 @@ def cmd_kernelize(args) -> int:
 
 
 def _spec_from_args(args) -> cls.RelationSpec:
+    if args.spec and args.constraint is not None:
+        raise WspError("classify takes a spec file or --constraint, not both")
     if args.spec:
         spec = formats.parse_relation_spec(_read(args.spec))
         cls.check_arity(spec.arity, args.arity_cap)
@@ -123,7 +125,7 @@ def cmd_reduce(args) -> int:
             )
         schema = reductions.mchs_to_wsp(inst, gadget)
         header = [
-            f"reduced from MCHS {args.input} with gadget {gadget.name}",
+            f"reduced from MCHS {args.input} with gadget {args.gadget}",
             f"colors: {inst.num_colors} sets: {len(inst.sets)}",
             f"tasks: {len(schema.tasks)} constraints: {len(schema.constraints)}",
         ]

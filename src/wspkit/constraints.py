@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from wspkit.core import (ATLEAST, ATMOST, BIND, EQ2, NEQ2, PERUSER, SEP,
                          ConstraintInstance)
-from wspkit.errors import ContractError, DeadEndError, DomainError
+from wspkit.errors import DeadEndError, DomainError
 from wspkit.partitions import growth_strings
 
 
@@ -202,8 +202,8 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
         return r == 2 and len(block) == 1
     if c.kind == BIND:
         left, right = (set(g) for g in c.scope_sets)
-        if left & right:
-            return True
+        # the block meets both sides or leaves a task of each; a task on
+        # both sides does one or the other, so such a bind takes any block
         return bool((block & left and block & right)
                     or (left - block and right - block))
     if c.kind == SEP:  # the scope is the union of the two sides
@@ -213,9 +213,6 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
     if c.kind == ATLEAST:
         return 1 + (r - len(block)) >= c.params[0]
     t_low, t_high = c.params
-    if len(c.scope) == r:  # no repeated task: one class of unit weight
-        return t_low <= len(block) <= t_high and _groupable(
-            ((1, r - len(block)),), t_low, t_high, {})
     classes, members = _classes(c)
     x = tuple(len(block.intersection(ts)) for ts in members)
     return _eligible_counts(classes, x, t_low, t_high, {})
@@ -224,7 +221,7 @@ def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:
 def ineligible_singletons(c: ConstraintInstance) -> frozenset[str]:
     """The scope tasks t whose singleton {t} is not an eligible set.
 
-    Mirrors ``eligible_set``'s closed forms on a singleton: the whole scope
+    Agrees with ``eligible_set`` on every singleton: the whole scope
     for ``eq`` over two tasks, ``neq`` and ``sep`` over fewer than two,
     ``atmost 1`` over two or more, and ``atleast t`` over fewer than t;
     for a ``bind`` with disjoint sides, the sole task of each one-task
@@ -268,12 +265,12 @@ def required_additions(
     the closure is the scope. Permuting a ``peruser`` class outside the set
     maps the closure to itself, so it is the intersection of the eligible
     sets among the at most 2^d unions of the set with whole classes (the
-    set and the scope when no task repeats). Raises ContractError on an
+    set and the scope when no task repeats). Raises DomainError on an
     eligible set, DeadEndError if none is a superset.
     """
     block = frozenset(tasks)
     if eligible_set(c, block):
-        raise ContractError("required_additions called on an eligible set")
+        raise DomainError("required_additions called on an eligible set")
     if c.kind == PERUSER:
         classes, members = _classes(c)
         x = tuple(len(block.intersection(ts)) for ts in members)

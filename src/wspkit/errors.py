@@ -9,10 +9,6 @@ class DomainError(WspError):
     """An argument violates a documented precondition."""
 
 
-class ContractError(WspError):
-    """An operation was called outside its contract (caller bug)."""
-
-
 class ClassificationError(WspError):
     """A constraint fails the regular/intersection-closed requirement."""
 

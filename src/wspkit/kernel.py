@@ -33,7 +33,7 @@ from wspkit.core import (
     describe,
     is_valid_plan,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError
+from wspkit.errors import ClassificationError, DeadEndError, DomainError
 from wspkit.matching import hall_violator, maximum_matching
 
 # kinds that are regular and intersection-closed whatever their scope
@@ -314,7 +314,7 @@ def extend_partial_plan(
     for t in schema.tasks:
         if t not in assignment:
             if t not in representatives:
-                raise ContractError(f"no representative for unassigned task {t}")
+                raise DomainError(f"no representative for unassigned task {t}")
             assignment[t] = representatives[t]
     plan = Plan(assignment)
     if not is_valid_plan(schema, plan):
@@ -326,7 +326,7 @@ def lift_plan(result: KernelResult, plan: Plan) -> Plan:
     """Replay the merge log backwards to recover a plan for the original schema."""
     verdict = is_valid_plan(result.schema, plan)
     if not verdict:
-        raise ContractError(
+        raise DomainError(
             "plan is not valid for the reduced schema: "
             + "; ".join(v.detail for v in verdict.violations)
         )

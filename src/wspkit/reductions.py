@@ -25,6 +25,7 @@ from wspkit.core import (
     at_least,
     at_most,
     binding,
+    describe,
 )
 from wspkit.errors import DomainError, ParseError
 
@@ -130,35 +131,19 @@ def sat_to_wsp(formula: CnfFormula) -> WorkflowSchema:
     return WorkflowSchema(tuple(tasks), users, auth, tuple(constraints))
 
 
-@dataclass(frozen=True)
-class TernaryGadget:
-    """An arity-3 catalog application usable by the hitting-set construction.
-
-    The builder maps three task names (a, b, c) to a constraint that is
-    eligible for the partitions {{a,b},{c}} and {{a,c},{b}} but not for
-    all-singletons.
-    """
-
-    name: str
-    build: Callable[[str, str, str], ConstraintInstance]
-
-    def validate(self) -> None:
-        spec = spec_from_constraint(self.build("a", "b", "c"))
-        if not matches_ternary_condition(spec):
-            raise DomainError(
-                f"gadget {self.name!r} does not meet the ternary eligibility condition"
-            )
-
-
-GADGETS: dict[str, TernaryGadget] = {
-    "bind-singleton": TernaryGadget(
-        "bind-singleton", lambda a, b, c: binding((a,), (b, c))
-    ),
-    "atmost2": TernaryGadget("atmost2", lambda a, b, c: at_most(2, (a, b, c))),
+# Builders of the arity-3 catalog applications usable by the hitting-set
+# construction: each maps three task names (a, b, c) to a constraint that
+# is eligible for the partitions {{a,b},{c}} and {{a,c},{b}} but not for
+# all-singletons.
+GADGETS: dict[str, Callable[[str, str, str], ConstraintInstance]] = {
+    "bind-singleton": lambda a, b, c: binding((a,), (b, c)),
+    "atmost2": lambda a, b, c: at_most(2, (a, b, c)),
 }
 
 
-def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
+def mchs_to_wsp(
+    inst: MchsInstance, gadget: Callable[[str, str, str], ConstraintInstance]
+) -> WorkflowSchema:
     """Multi-colored hitting set as a workflow instance.
 
     Users are the vertices; one chooser task per color (authorized for its
@@ -166,9 +151,14 @@ def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
     the set's members, linked by gadget constraints: (l-1)m+l tasks and
     (l-1)m constraints for every l and m. With one color there is no second
     chooser for a gadget to link, so the one chooser task s1 is authorized
-    for the vertices of color 1 that lie in every set.
+    for the vertices of color 1 that lie in every set. Raises DomainError
+    if the gadget does not meet the ternary eligibility condition.
     """
-    gadget.validate()
+    sample = gadget("a", "b", "c")
+    if sample.arity != 3 or not matches_ternary_condition(spec_from_constraint(sample)):
+        raise DomainError(
+            f"gadget {describe(sample)!r} does not meet the ternary eligibility condition"
+        )
     m = len(inst.sets)
     ell = inst.num_colors
     users = inst.vertices
@@ -186,9 +176,9 @@ def mchs_to_wsp(inst: MchsInstance, gadget: TernaryGadget) -> WorkflowSchema:
             name = f"e{i}_{j}"
             tasks.append(name)
             auth[name] = frozenset(inst.sets[i - 1]) if j == ell else all_users
-        constraints.append(gadget.build(f"e{i}_2", "s1", "s2"))
+        constraints.append(gadget(f"e{i}_2", "s1", "s2"))
         for j in range(3, ell + 1):
-            constraints.append(gadget.build(f"e{i}_{j}", f"e{i}_{j - 1}", f"s{j}"))
+            constraints.append(gadget(f"e{i}_{j}", f"e{i}_{j - 1}", f"s{j}"))
     return WorkflowSchema(tuple(tasks), users, auth, tuple(constraints))
 
 

@@ -64,10 +64,10 @@ def assign_blocks(
         except KeyError:
             raise DomainError(f"task {t!r} has no block label") from None
         blocks.setdefault(which, []).append(t)
-    adj = {}
-    for which, b in blocks.items():
-        common = frozenset.intersection(*(schema.auth[t] for t in b))
-        adj[which] = [u for u in schema.users if u in common]
+    adj = {
+        which: schema.sort_users(frozenset.intersection(*(schema.auth[t] for t in b)))
+        for which, b in blocks.items()
+    }
     matching = maximum_matching(list(blocks), adj)
     if len(matching) != len(blocks):
         return None
@@ -186,11 +186,13 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
     starts. The search keeps its own stack, so any number of tasks fits.
     """
     _check_budget(plan_cap)
-    tasks, users = schema.tasks, schema.users
+    tasks = schema.tasks
     k = len(tasks)
     by_depth = _constraints_by_depth(schema)
+    # users_at[d]: the users authorized for the task at depth d, in order
+    users_at = [schema.sort_users(schema.auth[t]) for t in tasks]
     assignment: dict[str, str] = {}
-    # next_user[d]: index of the next user to try for the task at depth d
+    # next_user[d]: index in users_at[d] of the next user to try
     next_user = [0] * (k + 1)
     nodes = 0
     depth = 0
@@ -200,11 +202,8 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
             depth -= 1
             continue
         t = tasks[depth]
-        auth = schema.auth[t]
         i = next_user[depth]
-        while i < len(users) and users[i] not in auth:
-            i += 1
-        if i == len(users):
+        if i == len(users_at[depth]):
             assignment.pop(t, None)
             depth -= 1
             continue
@@ -212,7 +211,7 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
         nodes += 1
         if nodes > plan_cap:
             raise _budget_exhausted(plan_cap)
-        assignment[t] = users[i]
+        assignment[t] = users_at[depth][i]
         # scopes at this depth are fully assigned by construction
         if all(eligible_partition(c, assignment) for c in by_depth[depth]):
             depth += 1

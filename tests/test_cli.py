@@ -307,6 +307,16 @@ class TestClassify:
         assert (captured.out, captured.err) == (
             "", "error: classify needs a spec file or --constraint\n")
 
+    @pytest.mark.parametrize("line", ["bind {1} {2,3}", "eq 1 2", ""],
+                             ids=["bind", "same-as-spec", "empty"])
+    def test_spec_and_constraint_refused(self, tmp_path, capsys, line):
+        path = tmp_path / "eq.spec"
+        path.write_text("arity 2\n{1,2}\n")
+        assert main(["classify", str(path), "--constraint", line]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: classify takes a spec file or --constraint, not both\n")
+
     def test_malformed_spec_position(self, tmp_path, capsys):
         path = tmp_path / "rel.spec"
         path.write_text("arity 2\n{1,x}\n")

@@ -29,7 +29,7 @@ from wspkit.core import (
     per_user,
     separation,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.errors import ClassificationError, DeadEndError, DomainError
 from wspkit.kernel import kernelize
 from wspkit.partitions import blocks as code_blocks, growth_strings
 
@@ -259,7 +259,7 @@ def eligible_superset(c, tasks):
     declaration order within the scope)."""
     block = frozenset(tasks)
     if eligible_set(c, block):
-        raise ContractError("eligible_superset called on an eligible set")
+        raise DomainError("eligible_superset called on an eligible set")
     pool = [t for t in c.scope_set if t not in block]
     for extra in range(1, len(pool) + 1):
         for combo in combinations(pool, extra):
@@ -282,7 +282,7 @@ class TestEligibleSuperset:
         assert eligible_superset(c, {"a"}) == {"a", "b"}
 
     def test_rejects_eligible_input(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="^eligible_superset called on an eligible set$"):
             eligible_superset(disequality("a", "b"), {"a"})
 
 
@@ -306,7 +306,7 @@ class TestRequiredAdditions:
             required_additions(disequality("s", "t"), {"s", "t"})
 
     def test_rejects_eligible_input(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="^required_additions called on an eligible set$"):
             required_additions(disequality("a", "b"), {"a"})
 
     @pytest.mark.parametrize(

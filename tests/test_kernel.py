@@ -26,7 +26,7 @@ from wspkit.core import (
     per_user,
     separation,
 )
-from wspkit.errors import ClassificationError, ContractError, DeadEndError, DomainError
+from wspkit.errors import ClassificationError, DeadEndError, DomainError
 from wspkit.formats import serialize_instance, serialize_kernel_log
 from wspkit.kernel import (
     REDUCED,
@@ -429,6 +429,11 @@ class TestExtendPartialPlan:
         )
         assert extend_partial_plan(schema, Plan(partial), {}) is None
 
+    def test_task_without_representative_refused(self, wstar):
+        result = kernelize(wstar)
+        with pytest.raises(DomainError, match="^no representative for unassigned task s3$"):
+            extend_partial_plan(result.schema, Plan({"s1": "u1"}), {})
+
 
 class TestLiftPlan:
     def test_running_example(self, wstar):
@@ -458,7 +463,7 @@ class TestLiftPlan:
 
     def test_invalid_input_rejected(self, wstar):
         result = kernelize(wstar)
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="^plan is not valid for the reduced schema: "):
             lift_plan(result, Plan({"s1": "u1", "s3": "u1"}))
 
 

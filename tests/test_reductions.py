@@ -1,14 +1,15 @@
 """Hardness-reduction generators, mini-oracles, and the random generator."""
 
+import re
+
 import pytest
 
-from wspkit.core import ATLEAST
+from wspkit.core import ATLEAST, at_most, describe, disequality
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.reductions import (
     GADGETS,
     CnfFormula,
     MchsInstance,
-    TernaryGadget,
     gen_random_instance,
     mchs_to_wsp,
     sat_to_wsp,
@@ -69,17 +70,25 @@ class TestSatOracle:
 
 
 class TestGadgets:
-    def test_shipped_gadgets_validate(self):
+    def test_shipped_gadgets_meet_the_ternary_condition(self):
+        from wspkit.classify import matches_ternary_condition, spec_from_constraint
+
         assert set(GADGETS) == {"bind-singleton", "atmost2"}
-        for gadget in GADGETS.values():
-            gadget.validate()
+        for build in GADGETS.values():
+            assert matches_ternary_condition(spec_from_constraint(build("a", "b", "c")))
 
-    def test_nonconforming_gadget_rejected(self):
-        from wspkit.core import disequality
+    def test_builders_link_their_three_tasks(self):
+        assert describe(GADGETS["bind-singleton"]("x", "y", "z")) == "bind {x} {y,z}"
+        assert describe(GADGETS["atmost2"]("x", "y", "z")) == "atmost 2 {x,y,z}"
 
-        bad = TernaryGadget("neq-pair", lambda a, b, c: disequality(a, b))
-        with pytest.raises(DomainError):
-            bad.validate()
+    @pytest.mark.parametrize("build, text", [
+        (lambda a, b, c: disequality(a, b), "neq a b"),
+        (lambda a, b, c: at_most(1, (a, b, c)), "atmost 1 {a,b,c}"),
+    ], ids=["neq-pair", "atmost1"])
+    def test_nonconforming_gadget_rejected(self, build, text):
+        with pytest.raises(DomainError, match=(
+                f"^gadget '{re.escape(text)}' does not meet the ternary eligibility condition$")):
+            mchs_to_wsp(two_color_instance(), build)
 
 
 def two_color_instance():
