@@ -17,7 +17,7 @@ from wspkit.constraints import enumerate_eligible_partitions
 from wspkit.errors import ClassificationError, DomainError, ResourceLimitError
 from wspkit.partitions import blocks, growth_string, growth_strings
 
-DEFAULT_ARITY_CAP = 8
+ARITY_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,17 @@ def matches_ternary_condition(spec: RelationSpec) -> bool:
     return (0, 0, 1) in eligible and (0, 1, 0) in eligible and (0, 1, 2) not in eligible
 
 
-def check_arity(arity: int, arity_cap: int = DEFAULT_ARITY_CAP) -> None:
-    """Refuse an arity past the cap: classifying a relation enumerates all
+def check_arity(arity: int) -> None:
+    """Refuse an arity past ARITY_CAP: classifying a relation enumerates all
     Bell(arity) partitions of its positions."""
-    if arity > arity_cap:
-        raise ResourceLimitError(f"arity {arity} exceeds the enumeration cap {arity_cap}")
+    if arity > ARITY_CAP:
+        raise ResourceLimitError(f"arity {arity} exceeds the enumeration cap {ARITY_CAP}")
 
 
-def spec_from_constraint(
-    c: ConstraintInstance, arity_cap: int = DEFAULT_ARITY_CAP
-) -> RelationSpec:
+def spec_from_constraint(c: ConstraintInstance) -> RelationSpec:
     """RelationSpec of a catalog constraint, positions numbered by the
     declaration order of its scope set."""
-    check_arity(c.arity, arity_cap)
+    check_arity(c.arity)
     eligible = enumerate_eligible_partitions(c)
     if not eligible:
         raise DomainError("constraint is unsatisfiable; no eligible partition")

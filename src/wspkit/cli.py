@@ -78,12 +78,12 @@ def _spec_from_args(args) -> cls.RelationSpec:
         raise WspError("classify takes a spec file or --constraint, not both")
     if args.spec:
         spec = formats.parse_relation_spec(_read(args.spec))
-        cls.check_arity(spec.arity, args.arity_cap)
+        cls.check_arity(spec.arity)
         return spec
     if not args.constraint:
         raise WspError("classify needs a spec file or --constraint")
     constraint = formats.parse_constraint_line(args.constraint.split())
-    return cls.spec_from_constraint(constraint, arity_cap=args.arity_cap)
+    return cls.spec_from_constraint(constraint)
 
 
 def cmd_classify(args) -> int:
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint",
                    help="one constraint in instance syntax instead of a spec file, "
                         "e.g. 'bind {1} {2,3}'")
-    p.add_argument("--arity-cap", type=int, default=cls.DEFAULT_ARITY_CAP,
-                   help="largest arity to classify, for a spec file or --constraint "
-                        "(default %(default)s)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reduce", help="build a WSP instance from SAT or MCHS")

@@ -12,7 +12,7 @@ ignored on input; serializers may emit '#' header comments.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from wspkit.core import (
     CATALOG,
@@ -31,14 +31,19 @@ from wspkit.kernel import KernelResult
 from wspkit.partitions import blocks, growth_string
 from wspkit.reductions import CnfFormula, MchsInstance
 
+_T = TypeVar("_T")
+
 
 def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+
+
+def _build(make: Callable[..., _T], *args: object) -> _T:
+    """make(*args), its DomainError raised again as a ParseError with the same text."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_set(token: str) -> tuple[str, ...]:
@@ -119,16 +124,25 @@ def parse_instance(text: str) -> WorkflowSchema:
             raise ParseError(f"unrecognized line: {line!r}")
     if tasks is None or users is None:
         raise ParseError("document must declare tasks: and users:")
-    try:
-        return WorkflowSchema(tasks, users, auth, tuple(constraints))
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(WorkflowSchema, tasks, users, auth, tuple(constraints))
 
 
 def serialize_instance(schema: WorkflowSchema, header: Sequence[str] = ()) -> str:
+    """The schema as instance text. Raises DomainError, naming them, if a
+    task name is empty or holds whitespace, ':', ',', '{' or '}', or a user
+    name is empty or holds whitespace: ``parse_instance`` could not read
+    the text back."""
+    tasks, users = " ".join(schema.tasks), " ".join(schema.users)
+    # a line splits back into its names iff none is empty or holds whitespace
+    if (tasks.split() != [*schema.tasks] or users.split() != [*schema.users]
+            or any(mark in tasks for mark in ":,{}")):
+        bad_tasks = [t for t in schema.tasks
+                     if t.split() != [t] or any(mark in t for mark in ":,{}")]
+        bad_users = [u for u in schema.users if u.split() != [u]]
+        raise DomainError(f"names that cannot be written: tasks {bad_tasks}, users {bad_users}")
     lines = [f"# {h}" for h in header]
-    lines.append("tasks: " + " ".join(schema.tasks))
-    lines.append("users: " + " ".join(schema.users))
+    lines.append("tasks: " + tasks)
+    lines.append("users: " + users)
     for t in schema.tasks:
         lines.append(f"auth {t}: " + " ".join(schema.sort_users(schema.auth[t])))
     order = schema.sort_tasks
@@ -161,9 +175,12 @@ def parse_relation_spec(text: str) -> RelationSpec:
     if not lines or not lines[0].startswith("arity"):
         raise ParseError("relation spec must start with an 'arity N' line")
     try:
-        arity = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        keyword, number = lines[0].split()
+        arity = int(number)
+    except ValueError as exc:
         raise ParseError(f"bad arity line: {lines[0]!r}") from exc
+    if keyword != "arity":
+        raise ParseError(f"bad arity line: {lines[0]!r}")
     eligible = []
     for line in lines[1:]:
         # label[i]: the block holding position i + 1
@@ -183,10 +200,7 @@ def parse_relation_spec(text: str) -> RelationSpec:
         if missing:
             raise ParseError(f"positions {missing} missing from {line!r}")
         eligible.append(growth_string(label))
-    try:
-        return RelationSpec(arity, frozenset(eligible))
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(RelationSpec, arity, frozenset(eligible))
 
 
 def format_partition(code: Sequence[int]) -> str:
@@ -226,10 +240,7 @@ def parse_mchs(text: str) -> MchsInstance:
     if not coloring:
         raise ParseError("document must assign colors")
     num_colors = max(coloring.values(), default=0)
-    try:
-        return MchsInstance(vertices, tuple(sets), num_colors, coloring)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(MchsInstance, vertices, tuple(sets), num_colors, coloring)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -272,7 +283,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ParseError(
             f"problem line declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars, tuple(clauses))
+    return _build(CnfFormula, num_vars, tuple(clauses))
 
 
 def serialize_kernel_log(result: KernelResult) -> str:

@@ -8,8 +8,9 @@ representative of every other task. Kernelization then drops the unmarked
 users and duplicate constraints, so the result has at most as many tasks
 and constraints as the input and at most as many users as tasks; a
 trivially unsatisfiable instance marks no user and keeps none. Plan
-extension certifies the marking, and lifting replays the merges to turn a
-plan of the kernel into one of the input.
+extension certifies the marking, closing the blocks of a plan on the hard
+tasks by equality elimination; lifting replays the merges to turn a plan
+of the kernel into one of the input.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from wspkit.constraints import (
-    classification,
-    eligible_set,
-    ineligible_singletons,
-    required_additions,
-)
+from wspkit.constraints import classification, ineligible_singletons, required_additions
+# Not called here: bench/tracing.py and tests rebind kernel.eligible_set.
+from wspkit.constraints import eligible_set  # noqa: F401
 from wspkit.core import (
     EQ2,
     NEQ2,
@@ -31,6 +29,7 @@ from wspkit.core import (
     Plan,
     WorkflowSchema,
     describe,
+    equality,
     is_valid_plan,
 )
 from wspkit.errors import ClassificationError, DeadEndError, DomainError
@@ -276,46 +275,40 @@ def extend_partial_plan(
 ) -> Optional[Plan]:
     """Extend an authorized partial plan on the hard tasks to a valid plan.
 
-    Grows each block of the partial plan to its own fixpoint by absorbing
-    the required additions of every constraint it meets ineligibly,
-    rejecting when an addition is already assigned or unauthorized, then
-    pads the remaining tasks with their distinct representatives. For
-    intersection-closed constraints each block's closure is unique, so the
-    result does not depend on the order the blocks are grown in. Returns
-    the complete plan or None if no extension exists.
+    Ties each block's later tasks to its first with ``eq`` constraints and
+    lets ``eliminate_equalities`` close the blocks: for intersection-closed
+    constraints a block's closure under the required additions of the
+    constraints it meets ineligibly is unique. There is no extension if
+    elimination dead-ends, or a group holds two blocks or a task its block's
+    user is not authorized for; every other task gets its representative.
+    Returns the complete plan or None. Raises ClassificationError if some
+    kind does not qualify.
     """
     assignment = dict(partial.items())
+    # each block's first task, keyed by user
+    first: dict[str, str] = {}
+    ties = []
     for t, u in assignment.items():
         if u not in schema.auth[t]:
             return None
-    # the partial plan's blocks, keyed by user in order of first assignment
-    blocks: dict[str, set[str]] = {}
+        if first.setdefault(u, t) != t:
+            ties.append(equality(first[u], t))
+    elim = eliminate_equalities(WorkflowSchema(
+        schema.tasks, schema.users, schema.auth, schema.constraints + tuple(ties)))
+    if elim.unsatisfiable:
+        return None
+    root = {m.absorbed: m.surviving for m in elim.merges}
+    # each group's user; a root's authorization is its group's common users
+    owner: dict[str, str] = {}
     for t, u in assignment.items():
-        blocks.setdefault(u, set()).add(t)
-    for user, block in blocks.items():
-        # an ineligible part's closure is a strict superset of it, so the
-        # block is at its fixpoint once a pass over the constraints adds no task
-        size = 0
-        while size < len(block):
-            size = len(block)
-            for c in schema.constraints:
-                part = block.intersection(c.scope_set)
-                if not part or eligible_set(c, part):
-                    continue
-                try:
-                    additions = required_additions(c, part)
-                except DeadEndError:
-                    return None
-                for s in schema.sort_tasks(additions):
-                    if s in assignment or user not in schema.auth[s]:
-                        return None
-                    assignment[s] = user
-                    block.add(s)
+        group = root.get(t, t)
+        if owner.setdefault(group, u) != u or u not in elim.schema.auth[group]:
+            return None
     for t in schema.tasks:
-        if t not in assignment:
-            if t not in representatives:
-                raise DomainError(f"no representative for unassigned task {t}")
-            assignment[t] = representatives[t]
+        group = root.get(t, t)
+        if group not in owner and t not in representatives:
+            raise DomainError(f"no representative for unassigned task {t}")
+        assignment[t] = owner[group] if group in owner else representatives[t]
     plan = Plan(assignment)
     if not is_valid_plan(schema, plan):
         return None

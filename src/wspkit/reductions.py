@@ -27,7 +27,7 @@ from wspkit.core import (
     binding,
     describe,
 )
-from wspkit.errors import DomainError, ParseError
+from wspkit.errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,13 @@ class CnfFormula:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
         if self.num_vars < 1:
-            raise ParseError("formula must have at least one variable")
+            raise DomainError("formula must have at least one variable")
         for cl in self.clauses:
             if not cl:
-                raise ParseError("empty clause")
+                raise DomainError("empty clause")
             for lit in cl:
                 if lit == 0 or abs(lit) > self.num_vars:
-                    raise ParseError(f"literal {lit} out of range")
+                    raise DomainError(f"literal {lit} out of range")
 
 
 @dataclass(frozen=True)

@@ -336,22 +336,23 @@ class TestClassify:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("cap", [[], ["--arity-cap", "8"]], ids=["default", "explicit"])
-    def test_arity_cap_bounds_spec_files(self, tmp_path, capsys, cap):
+    def test_arity_cap_bounds_spec_files(self, tmp_path, capsys):
         # Bell(16) is about 10^10 partitions: without the cap this runs for hours
         path = tmp_path / "rel.spec"
         path.write_text("arity 16\n{%s}\n" % ",".join(map(str, range(1, 17))))
-        assert main(["classify", str(path), *cap]) == 2
+        assert main(["classify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: arity 16 exceeds the enumeration cap 8\n"
 
     def test_arity_cap_admits_spec_at_the_cap(self, tmp_path, capsys):
-        path = tmp_path / "rel.spec"
-        path.write_text("arity 3\n{1,2,3}\n")
-        assert main(["classify", str(path), "--arity-cap", "3"]) == 0
-        assert main(["classify", str(path), "--arity-cap", "2"]) == 2
-        assert capsys.readouterr().err == "error: arity 3 exceeds the enumeration cap 2\n"
+        for arity in (8, 9):
+            path = tmp_path / f"rel{arity}.spec"
+            path.write_text("arity %d\n{%s}\n" % (arity, ",".join(map(str, range(1, arity + 1)))))
+        assert main(["classify", str(tmp_path / "rel8.spec")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["classify", str(tmp_path / "rel9.spec")]) == 2
+        assert capsys.readouterr().err == "error: arity 9 exceeds the enumeration cap 8\n"
 
     @pytest.mark.parametrize("line, message", [
         ("  ", "empty constraint"),
@@ -457,6 +458,17 @@ class TestReduce:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 0 0\n", "formula must have at least one variable"),
+        ("p cnf 2 1\n1 3 0\n", "literal 3 out of range"),
+    ], ids=["no-variables", "past-range"])
+    def test_malformed_formula(self, tmp_path, capsys, text, message):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text)
+        assert main(["reduce", str(cnf), "--from", "sat"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_clause_count_disagrees(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

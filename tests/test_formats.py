@@ -177,6 +177,42 @@ class TestInstanceFormat:
         assert ([c.dedup_key() for c in back.constraints]
                 == [c.dedup_key() for c in schema.constraints])
 
+    @pytest.mark.parametrize("tasks, users, named", [
+        (("s:1", "a b", "", "{a}", "x,y", "ok"), ("u",),
+         "tasks ['s:1', 'a b', '', '{a}', 'x,y'], users []"),
+        (("a",), ("u v", "", "w:1,{}"), "tasks [], users ['u v', '']"),
+        (("a\tb",), ("u\n",), "tasks ['a\\tb'], users ['u\\n']"),
+    ], ids=["tasks", "users", "both"])
+    def test_unwritable_names_refused(self, tasks, users, named):
+        schema = WorkflowSchema(tasks, users, {})
+        message = f"names that cannot be written: {named}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            formats.serialize_instance(schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_names_refused_or_round_tripped(self, data):
+        names = st.lists(st.one_of(NAMES, st.text(max_size=4)), unique=True, max_size=4)
+        tasks, users = data.draw(names), data.draw(names)
+        auth = {t: data.draw(st.sets(st.sampled_from(users))) if users else set()
+                for t in tasks}
+        constraints = [at_most(1, tasks)] if tasks else []
+        if len(tasks) >= 2:
+            constraints += [disequality(*tasks[:2]), separation(tasks[:1], tasks[1:])]
+        schema = WorkflowSchema(tasks, users, auth, constraints)
+        writable = (all(re.fullmatch(r"[^\s:,{}]+", t) for t in tasks)
+                    and all(re.fullmatch(r"\S+", u) for u in users))
+        try:
+            text = formats.serialize_instance(schema)
+        except DomainError:
+            assert not writable
+            return
+        assert writable
+        back = formats.parse_instance(text)
+        assert back.tasks == schema.tasks and back.users == schema.users
+        assert dict(back.auth) == dict(schema.auth)
+        assert formats.serialize_instance(back) == text
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_generated_instances_round_trip(self, seed):
@@ -346,9 +382,14 @@ class TestRelationSpecFormat:
         assert back == spec
         assert serialize_relation_spec(back) == text
 
-    def test_requires_arity_line(self):
-        with pytest.raises(ParseError):
-            formats.parse_relation_spec("{1,2}|{3}\n")
+    @pytest.mark.parametrize("text, message", [
+        ("{1,2}|{3}\n", "relation spec must start with an 'arity N' line"),
+        ("arityx 2\n{1,2}\n", "bad arity line: 'arityx 2'"),
+        ("arity 2 7\n{1,2}\n", "bad arity line: 'arity 2 7'"),
+    ], ids=["missing", "keyword", "extra-token"])
+    def test_requires_arity_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            formats.parse_relation_spec(text)
 
     def test_spaces_inside_a_set(self):
         # lines split on '|' only, so a set keeps its spaces; each position
@@ -459,6 +500,15 @@ class TestDimacs:
     def test_repeated_problem_line(self):
         with pytest.raises(ParseError, match="repeated problem line"):
             formats.parse_dimacs("p cnf 2 1\np cnf 3 2\n1 -2 0\n2 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 0 0\n", "formula must have at least one variable"),
+        ("p cnf 2 1\n1 -3 0\n", "literal -3 out of range"),
+    ], ids=["no-variables", "past-range"])
+    def test_formula_faults_become_parse_errors(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as caught:
+            formats.parse_dimacs(text)
+        assert isinstance(caught.value.__cause__, DomainError)
 
     @pytest.mark.parametrize("declared", [0, 1, 3])
     def test_clause_count_must_agree(self, declared):

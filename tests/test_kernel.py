@@ -429,6 +429,16 @@ class TestExtendPartialPlan:
         )
         assert extend_partial_plan(schema, Plan(partial), {}) is None
 
+    def test_kind_not_intersection_closed_refused(self):
+        # bind with a singleton side is regular but not intersection-closed,
+        # so no closure of a block is unique
+        schema = WorkflowSchema(
+            ("a", "b", "c"), ("u", "v"), {t: {"u", "v"} for t in "abc"},
+            (binding(("a",), ("b", "c")),),
+        )
+        with pytest.raises(ClassificationError, match="is not intersection-closed$"):
+            extend_partial_plan(schema, Plan({"a": "u"}), {"b": "u", "c": "v"})
+
     def test_task_without_representative_refused(self, wstar):
         result = kernelize(wstar)
         with pytest.raises(DomainError, match="^no representative for unassigned task s3$"):

@@ -57,6 +57,18 @@ class TestSatToWsp:
                 == solve_sat_bruteforce(f))
 
 
+class TestCnfFormula:
+    @pytest.mark.parametrize("num_vars, clauses, message", [
+        (0, (), "formula must have at least one variable"),
+        (2, ((1,), ()), "empty clause"),
+        (2, ((1, 3),), "literal 3 out of range"),
+        (2, ((0,),), "literal 0 out of range"),
+    ], ids=["no-variables", "empty-clause", "past-range", "zero"])
+    def test_malformed_formula_refused(self, num_vars, clauses, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CnfFormula(num_vars, clauses)
+
+
 class TestSatOracle:
     def test_satisfiable(self):
         assert solve_sat_bruteforce(CnfFormula(2, ((1, -2), (2,))))
