@@ -77,9 +77,7 @@ def _spec_from_args(args) -> cls.RelationSpec:
     if args.spec and args.constraint is not None:
         raise WspError("classify takes a spec file or --constraint, not both")
     if args.spec:
-        spec = formats.parse_relation_spec(_read(args.spec))
-        cls.check_arity(spec.arity)
-        return spec
+        return formats.parse_relation_spec(_read(args.spec))
     if not args.constraint:
         raise WspError("classify needs a spec file or --constraint")
     constraint = formats.parse_constraint_line(args.constraint.split())

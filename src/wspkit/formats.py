@@ -25,7 +25,7 @@ from wspkit.core import (
     describe,
     in_order,
 )
-from wspkit.classify import RelationSpec
+from wspkit.classify import RelationSpec, check_arity
 from wspkit.errors import DomainError, ParseError
 from wspkit.kernel import KernelResult
 from wspkit.partitions import blocks, growth_string
@@ -116,6 +116,8 @@ def parse_instance(text: str) -> WorkflowSchema:
             if tasks is not None:
                 raise ParseError("repeated tasks: line")
             tasks = tuple(line.split(":", 1)[1].split())
+            if "#" in line and (hashed := [t for t in tasks if t[0] == "#"]):
+                raise ParseError(f"task names may not start with '#': {hashed}")
         elif line.startswith("users:"):
             if users is not None:
                 raise ParseError("repeated users: line")
@@ -128,19 +130,20 @@ def parse_instance(text: str) -> WorkflowSchema:
 
 
 def serialize_instance(schema: WorkflowSchema, header: Sequence[str] = ()) -> str:
-    """The schema as instance text. Raises DomainError, naming them, if a
-    task name is empty or holds whitespace, ':', ',', '{' or '}', or a user
-    name is empty or holds whitespace: ``parse_instance`` could not read
-    the text back."""
+    """The schema as instance text, after one ``# `` comment line per line
+    of each header string. Raises DomainError, naming them, if a task name
+    is empty, starts with '#' or holds whitespace, ':', ',', '{' or '}', or
+    a user name is empty or holds whitespace: ``parse_instance`` could not
+    read the text back."""
     tasks, users = " ".join(schema.tasks), " ".join(schema.users)
     # a line splits back into its names iff none is empty or holds whitespace
     if (tasks.split() != [*schema.tasks] or users.split() != [*schema.users]
-            or any(mark in tasks for mark in ":,{}")):
-        bad_tasks = [t for t in schema.tasks
-                     if t.split() != [t] or any(mark in t for mark in ":,{}")]
+            or any(mark in tasks for mark in ":,{}") or tasks[:1] == "#" or " #" in tasks):
+        bad_tasks = [t for t in schema.tasks if t.split() != [t] or t[:1] == "#"
+                     or any(mark in t for mark in ":,{}")]
         bad_users = [u for u in schema.users if u.split() != [u]]
         raise DomainError(f"names that cannot be written: tasks {bad_tasks}, users {bad_users}")
-    lines = [f"# {h}" for h in header]
+    lines = [f"# {line}" for h in header for line in h.splitlines() or [""]]
     lines.append("tasks: " + tasks)
     lines.append("users: " + users)
     for t in schema.tasks:
@@ -171,6 +174,9 @@ def serialize_plan(plan: Plan, task_order: Sequence[str] = ()) -> str:
 
 
 def parse_relation_spec(text: str) -> RelationSpec:
+    """A relation spec: an ``arity N`` line, then one eligible partition per
+    line. Raises ResourceLimitError if N exceeds the enumeration cap, before
+    any partition line is read, and ParseError on a malformed line."""
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("arity"):
         raise ParseError("relation spec must start with an 'arity N' line")
@@ -181,6 +187,7 @@ def parse_relation_spec(text: str) -> RelationSpec:
         raise ParseError(f"bad arity line: {lines[0]!r}") from exc
     if keyword != "arity":
         raise ParseError(f"bad arity line: {lines[0]!r}")
+    check_arity(arity)
     eligible = []
     for line in lines[1:]:
         # label[i]: the block holding position i + 1

@@ -10,7 +10,8 @@ the tests hold the brute-force oracles for the source problems.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from wspkit.classify import matches_ternary_condition, spec_from_constraint
@@ -54,13 +55,14 @@ class MchsInstance:
     """Multi-colored hitting set: pick one vertex per color hitting every set.
 
     Well-formed once built: the vertices are distinct, the coloring names
-    only vertices and gives each one a color in 1..num_colors, no color
-    class is empty, and the sets hold only vertices."""
+    only vertices and gives each one a color in 1..num_colors (grouping the
+    color classes), no class is empty, and the sets hold only vertices."""
 
     vertices: tuple[str, ...]
     sets: tuple[frozenset[str], ...]
     num_colors: int
     coloring: Mapping[str, int]
+    _classes: dict[int, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -70,25 +72,27 @@ class MchsInstance:
         object.__setattr__(self, "coloring", dict(self.coloring))
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
-            twice = {v for v in self.vertices if self.vertices.count(v) > 1}
+            twice = [v for v, n in Counter(self.vertices).items() if n > 1]
             raise DomainError(f"vertex listed twice: {sorted(twice)}")
         if not vs.issuperset(self.coloring):
             raise DomainError(f"colors for unknown vertices: {sorted(set(self.coloring) - vs)}")
         for e in self.sets:
             if not e <= vs:
                 raise DomainError(f"set member outside the vertex set: {sorted(e - vs)}")
+        object.__setattr__(self, "_classes", {})
         for v in self.vertices:
             c = self.coloring.get(v)
             if c is None or not 1 <= c <= self.num_colors:
                 raise DomainError(f"vertex {v} has no color in [1..{self.num_colors}]")
-        for j in range(1, self.num_colors + 1):
-            if not any(self.coloring[v] == j for v in self.vertices):
-                raise DomainError(f"color class {j} is empty")
+            self._classes.setdefault(c, []).append(v)
+        empty = next(j for j in range(1, len(self._classes) + 2) if j not in self._classes)
+        if empty <= self.num_colors:
+            raise DomainError(f"color class {empty} is empty")
         if self.num_colors < 1:
             raise DomainError("an instance needs at least one color")
 
     def color_class(self, j: int) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.coloring[v] == j)
+        return tuple(self._classes.get(j, ()))
 
 
 def _sat_var_tasks(i: int) -> tuple[str, str]:

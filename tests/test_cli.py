@@ -63,6 +63,18 @@ class TestSolve:
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/instance.wsp"]) == 2
 
+    def test_task_name_starting_with_hash_refused(self, tmp_path, capsys):
+        # a plan line '#a u' would read back as a comment
+        path = tmp_path / "hash.wsp"
+        path.write_text("tasks: #a b\nusers: u v\nauth #a: u\nauth b: v\n"
+                        "constraint neq #a b\n")
+        plan = tmp_path / "plan.txt"
+        assert main(["solve", str(path), "--plan-out", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: task names may not start with '#': ['#a']\n")
+        assert not plan.exists()
+
 
     @pytest.mark.parametrize("engine", ["fpt", "brute"])
     def test_many_tasks_without_constraints(self, tmp_path, capsys, engine):
@@ -161,6 +173,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "violation [eligible]: constraint #1 (neq s1 s3) is violated" in out.splitlines()
 
+    def test_undeclared_task_in_plan(self, wstar_file, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("s1 u1\ns2 u1\ns3 u6\nx u1\n")
+        assert main(["verify", wstar_file, str(plan)]) == 1
+        assert capsys.readouterr().out == "violation [complete]: unknown task x assigned\n"
+
     def test_incomplete_plan(self, wstar_file, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("s1 u1\n")
@@ -225,6 +243,17 @@ class TestKernelize:
         assert "verdict: reduced" in capsys.readouterr().out
         reduced = formats.parse_instance(out.read_text())
         assert len(reduced.users) <= len(reduced.tasks) == k
+
+    def test_path_with_line_breaks_stays_in_the_header(self, tmp_path, capsys):
+        path = tmp_path / "x\ntasks: z.wsp"
+        path.write_text(WSTAR_TEXT)
+        out = tmp_path / "reduced.wsp"
+        assert main(["kernelize", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        reduced = formats.parse_instance(text)
+        assert reduced.tasks == ("s1", "s3")
+        head, tail = str(path).split("\n")
+        assert text.startswith(f"# kernelized from {head}\n# {tail}\n# verdict: reduced\n")
 
     def test_pipeline_kernelize_solve_verify(self, wstar_file, tmp_path):
         reduced = tmp_path / "reduced.wsp"
@@ -344,6 +373,16 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: arity 16 exceeds the enumeration cap 8\n"
+
+    @pytest.mark.parametrize("lines", [["{1}"], ["{1,x}", "{0}|{0}"], []],
+                             ids=["missing-positions", "malformed", "no-partition"])
+    def test_arity_cap_applies_at_the_arity_line(self, tmp_path, capsys, lines):
+        path = tmp_path / "rel.spec"
+        path.write_text("\n".join(["arity 100000", *lines]) + "\n")
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: arity 100000 exceeds the enumeration cap 8\n")
 
     def test_arity_cap_admits_spec_at_the_cap(self, tmp_path, capsys):
         for arity in (8, 9):
@@ -498,6 +537,14 @@ class TestGenerate:
         assert captured.out == "" and not out.exists()
         lines = captured.err.splitlines()
         assert lines == [f"error: authorization density must lie in [0, 1], got {float(density)}"]
+
+    def test_empty_kind_mix(self, tmp_path, capsys):
+        out = tmp_path / "gen.wsp"
+        assert main(["generate", "--tasks", "3", "--users", "3", "--constraints", "1",
+                     "--kinds", ",", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: kind mix must be nonempty\n")
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         args = ["generate", "--tasks", "3", "--users", "3",

@@ -145,8 +145,11 @@ class TestInstanceFormat:
         ("tasks: a\nusers: u\nconstraint atmost 0 {a}\n",
          "bad constraint 'atmost 0 {a}': atmost takes 1 integer bounds rising "
          "from 1, got (0,)"),
+        ("tasks: #a b a#b #\nusers: u v\nauth #a: u\nauth b: v\nconstraint neq #a b\n",
+         "task names may not start with '#': ['#a', '#']"),
     ], ids=["tasks", "users", "auth", "auth-head", "unrecognized", "bare-constraint",
-            "unknown-auth", "no-users", "no-tasks", "empty", "arguments", "bounds"])
+            "unknown-auth", "no-users", "no-tasks", "empty", "arguments", "bounds",
+            "hash-task"])
     def test_parse_error_texts(self, text, message):
         with pytest.raises(ParseError) as caught:
             formats.parse_instance(text)
@@ -182,7 +185,8 @@ class TestInstanceFormat:
          "tasks ['s:1', 'a b', '', '{a}', 'x,y'], users []"),
         (("a",), ("u v", "", "w:1,{}"), "tasks [], users ['u v', '']"),
         (("a\tb",), ("u\n",), "tasks ['a\\tb'], users ['u\\n']"),
-    ], ids=["tasks", "users", "both"])
+        (("#a", "b", "a#", "#"), ("#u",), "tasks ['#a', '#'], users []"),
+    ], ids=["tasks", "users", "both", "hash"])
     def test_unwritable_names_refused(self, tasks, users, named):
         schema = WorkflowSchema(tasks, users, {})
         message = f"names that cannot be written: {named}"
@@ -192,7 +196,8 @@ class TestInstanceFormat:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_names_refused_or_round_tripped(self, data):
-        names = st.lists(st.one_of(NAMES, st.text(max_size=4)), unique=True, max_size=4)
+        names = st.lists(st.one_of(NAMES, st.text("#a: ", max_size=3), st.text(max_size=4)),
+                         unique=True, max_size=4)
         tasks, users = data.draw(names), data.draw(names)
         auth = {t: data.draw(st.sets(st.sampled_from(users))) if users else set()
                 for t in tasks}
@@ -200,7 +205,7 @@ class TestInstanceFormat:
         if len(tasks) >= 2:
             constraints += [disequality(*tasks[:2]), separation(tasks[:1], tasks[1:])]
         schema = WorkflowSchema(tasks, users, auth, constraints)
-        writable = (all(re.fullmatch(r"[^\s:,{}]+", t) for t in tasks)
+        writable = (all(re.fullmatch(r"[^\s:,{}#][^\s:,{}]*", t) for t in tasks)
                     and all(re.fullmatch(r"\S+", u) for u in users))
         try:
             text = formats.serialize_instance(schema)
@@ -212,6 +217,35 @@ class TestInstanceFormat:
         assert back.tasks == schema.tasks and back.users == schema.users
         assert dict(back.auth) == dict(schema.auth)
         assert formats.serialize_instance(back) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_plans_over_writable_schemas_round_trip(self, data):
+        names = st.lists(st.one_of(NAMES, st.text("#a:{ ", min_size=1, max_size=3)),
+                         unique=True, max_size=5)
+        tasks, users = data.draw(names), data.draw(names, "users")
+        schema = WorkflowSchema(tasks, users, {})
+        try:
+            formats.serialize_instance(schema)
+        except DomainError:
+            return
+        assume(users)
+        plan = Plan({t: data.draw(st.sampled_from(users)) for t in tasks})
+        assert formats.parse_plan(formats.serialize_plan(plan, schema.tasks)) == plan
+
+    @pytest.mark.parametrize("header", [
+        ["x\ntasks: z.wsp"], ["a\r\nb", "c\rd"], ["e\x0bf\u2028users: g"], ["h\n"],
+        ["", "\n\n"],
+    ], ids=["newline", "crlf-cr", "vt-line-separator", "trailing", "empty"])
+    def test_header_line_breaks_stay_in_comments(self, wstar, header):
+        text = formats.serialize_instance(wstar, header)
+        assert formats.parse_instance(text) == wstar
+        written = text.splitlines()[:-len(WSTAR_TEXT.splitlines())]
+        assert written == [f"# {line}" for h in header for line in h.splitlines() or [""]]
+
+    def test_header_without_line_breaks_written_as_given(self, wstar):
+        assert (formats.serialize_instance(wstar, ["a: b", "", " c "])
+                == "# a: b\n# \n#  c \n" + WSTAR_TEXT)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -339,6 +373,11 @@ class TestPlanFormat:
         with pytest.raises(ParseError):
             formats.parse_plan("a u\na v\n")
 
+    @pytest.mark.parametrize("line", ["a u v", "a"])
+    def test_bad_plan_line(self, line):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'bad plan line: {line!r}')}$"):
+            formats.parse_plan(f"b u\n{line}\n")
+
     @given(tasks=st.lists(NAMES, unique=True, max_size=8), users=st.lists(NAMES, min_size=1),
            data=st.data())
     def test_random_plans_round_trip(self, tasks, users, data):
@@ -465,6 +504,21 @@ class TestMchsFormat:
         with pytest.raises(ParseError, match=match):
             formats.parse_mchs(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("vertices: a\ncolor a\n", "bad color line: 'color a'"),
+        ("vertices: a\ncolor a 1 2\n", "bad color line: 'color a 1 2'"),
+        ("vertices: a\ncolor a 1\nsets: a\n", "unrecognized line: 'sets: a'"),
+        ("color a 1\nset: a\n", "document must declare vertices:"),
+        ("vertices: a\nset: a\n", "document must assign colors"),
+        ("vertices: a b\ncolor a 1\ncolor b 1\nset: a c\n",
+         "set member outside the vertex set: ['c']"),
+        ("vertices: a b\ncolor a 1\ncolor b 0\n", "vertex b has no color in [1..1]"),
+    ], ids=["color-two-tokens", "color-four-tokens", "unrecognized", "no-vertices",
+            "no-colors", "outside-member", "color-zero"])
+    def test_refusal_texts(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            formats.parse_mchs(text)
+
 
 class TestDimacs:
     def test_parse(self):
@@ -500,6 +554,15 @@ class TestDimacs:
     def test_repeated_problem_line(self):
         with pytest.raises(ParseError, match="repeated problem line"):
             formats.parse_dimacs("p cnf 2 1\np cnf 3 2\n1 -2 0\n2 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p dnf 2 1\n1 0\n", "bad problem line: 'p dnf 2 1'"),
+        ("p cnf 2\n1 0\n", "bad problem line: 'p cnf 2'"),
+        ("p cnf 2 1\n1 x 0\n", "bad clause line: '1 x 0'"),
+    ], ids=["dnf", "three-tokens", "clause"])
+    def test_malformed_line_texts(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            formats.parse_dimacs(text)
 
     @pytest.mark.parametrize("text, message", [
         ("p cnf 0 0\n", "formula must have at least one variable"),

@@ -1,5 +1,6 @@
 """Restricted-growth-string enumeration of set partitions."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,3 +51,8 @@ def test_growth_string_of_any_labelling(labels):
     for i, x in enumerate(labels):
         for j, y in enumerate(labels):
             assert (code[i] == code[j]) == (x == y)
+
+
+def test_negative_length_refused():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        list(growth_strings(-1))

@@ -209,6 +209,49 @@ class TestMchsToWsp:
             MchsInstance(vertices, tuple(map(frozenset, sets)), 1, coloring)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("vertices, sets, num_colors, coloring, message", [
+        (("a", "b"), ("ac", "b"), 1, {"a": 1, "b": 1},
+         "set member outside the vertex set: ['c']"),
+        (("a", "b"), (), 2, {"a": 1, "b": 0}, "vertex b has no color in [1..2]"),
+        (("a", "b"), (), 2, {"a": 3, "b": 1}, "vertex a has no color in [1..2]"),
+        (("a", "b"), (), 2, {"a": 1}, "vertex b has no color in [1..2]"),
+        (("a", "b"), (), 0, {"a": 1, "b": 1}, "vertex a has no color in [1..0]"),
+        (("a", "b", "c"), (), 4, {"a": 1, "b": 2, "c": 4}, "color class 3 is empty"),
+        (("a",), (), 10**9, {"a": 1}, "color class 2 is empty"),
+    ], ids=["outside-member", "color-zero", "color-above", "no-color", "no-colors",
+            "empty-class", "huge-color-count"])
+    def test_color_faults_refused(self, vertices, sets, num_colors, coloring, message):
+        with pytest.raises(DomainError) as info:
+            MchsInstance(vertices, tuple(map(frozenset, sets)), num_colors, coloring)
+        assert str(info.value) == message
+
+    def test_color_classes_are_not_part_of_the_value(self):
+        import dataclasses
+        import pickle
+
+        inst = MchsInstance(("a", "b", "c"), (frozenset("c"),), 2, {"a": 2, "b": 1, "c": 2})
+        assert [inst.color_class(j) for j in range(4)] == [(), ("b",), ("a", "c"), ()]
+        assert repr(inst) == ("MchsInstance(vertices=('a', 'b', 'c'), "
+                              "sets=(frozenset({'c'}),), num_colors=2, "
+                              "coloring={'a': 2, 'b': 1, 'c': 2})")
+        for copy in (pickle.loads(pickle.dumps(inst)), dataclasses.replace(inst)):
+            assert copy == inst and copy.color_class(2) == ("a", "c")
+        recolored = dataclasses.replace(inst, coloring={"a": 1, "b": 2, "c": 2})
+        assert recolored != inst and recolored.color_class(2) == ("b", "c")
+
+    def test_many_colors_build_and_refuse_in_linear_time(self):
+        import time
+
+        n = 20000
+        vertices = [f"v{i}" for i in range(n)]
+        coloring = {v: i + 1 for i, v in enumerate(vertices)}
+        start = time.perf_counter()
+        schema = mchs_to_wsp(MchsInstance(vertices, (), n, coloring), GADGETS["atmost2"])
+        assert schema.tasks[-1] == f"s{n}" and schema.auth[f"s{n}"] == {vertices[-1]}
+        with pytest.raises(DomainError, match=re.escape("vertex listed twice: ['v6']")):
+            MchsInstance(vertices[:-1] + vertices[6:7], (), n, coloring)
+        assert time.perf_counter() - start < 2
+
     def test_authorization_layout(self):
         inst = MchsInstance(
             vertices=("a", "b", "c"),
@@ -251,3 +294,15 @@ class TestGenRandomInstance:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             gen_random_instance(3, 3, 1, ["mystery"], seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3, 1, ["neq"]), "instance dimensions must be positive"),
+        ((3, 0, 1, ["neq"]), "instance dimensions must be positive"),
+        ((3, 3, -1, ["neq"]), "instance dimensions must be positive"),
+        ((3, 3, 1, []), "kind mix must be nonempty"),
+        ((1, 3, 1, ["sep"]), "sep needs at least two tasks"),
+        ((2, 3, 1, [("peruser", (3, 4))]), "peruser lower bound exceeds the task count"),
+    ], ids=["tasks", "users", "constraints", "kinds", "one-task", "lower-bound"])
+    def test_refusal_texts(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gen_random_instance(*args, seed=0)
