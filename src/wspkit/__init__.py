@@ -9,7 +9,6 @@ SAT and multi-colored hitting set reductions as pure constructions.
 
 from wspkit.core import (
     ConstraintInstance,
-    Plan,
     WorkflowSchema,
     is_valid_plan,
     satisfies,
@@ -18,7 +17,6 @@ from wspkit.core import (
 
 __all__ = [
     "ConstraintInstance",
-    "Plan",
     "WorkflowSchema",
     "is_valid_plan",
     "satisfies",

@@ -1,16 +1,15 @@
-"""Eligibility interface for the constraint catalog.
+"""Set-level operations of the constraint catalog.
 
-Each kind supports the well-behaved operations: partition eligibility,
-set eligibility, and required additions (the closure of an ineligible set)
-for intersection-closed kinds. A partition is a labelling of the scope: any
-mapping from scope tasks to hashable block labels (such as a plan or a
-growth-string dict), where tasks sharing a label share a block and tasks
-outside the scope are ignored. Partition eligibility is defined once, over
-such labellings; the enumerations return growth strings over the scope
-set. Set eligibility is closed-form per kind; the closed forms
-are verified against partition enumeration in the test suite, and
-enumeration semantics is authoritative where the two could diverge
-(notably two-set kinds with overlapping sides).
+Partition eligibility, what each kind means, is ``core.eligible_partition``
+over labellings of the scope: any mapping from scope tasks to hashable
+block labels, such as a plan or a growth-string dict. This module holds
+what the kernel and classification need beyond it: set eligibility, the
+ineligible singletons, required additions (the closure of an ineligible
+set) for intersection-closed kinds, and each kind's classification. The
+enumerations return growth strings over the scope set. Set eligibility is
+closed-form per kind; the closed forms are verified against partition
+enumeration in the test suite, and enumeration semantics is authoritative
+where the two could diverge (notably two-set kinds with overlapping sides).
 
 Only ``peruser`` depends on how often a task repeats in its scope. Tasks of
 equal multiplicity form a class and are interchangeable, so a set is
@@ -24,10 +23,10 @@ grouping weights is bin packing, which is strongly NP-hard.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from wspkit.core import (ATLEAST, ATMOST, BIND, EQ2, NEQ2, PERUSER, SEP,
-                         ConstraintInstance)
+                         ConstraintInstance, eligible_partition)
 from wspkit.errors import DeadEndError, DomainError
 from wspkit.partitions import growth_strings
 
@@ -148,38 +147,6 @@ def _eligible_completions(
         y = tuple(n if p else j for (_, n), j, p in zip(classes, x, picked))
         if _eligible_counts(classes, y, t_low, t_high, memo):
             yield frozenset(i for i, p in enumerate(picked) if p)
-
-
-def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> bool:
-    """Whether a labelling of the constraint's scope is eligible.
-
-    ``label`` maps every scope task to a hashable block label: two scope
-    tasks share a block iff their labels are equal. Anything indexable by
-    task will do, such as a growth-string dict or a Plan (labels are
-    users). Tasks outside the scope are ignored, so a labelling of any
-    superset of the scope is accepted.
-    Raises DomainError if some scope task has no label.
-    """
-    try:
-        labels = [label[t] for t in c.scope]
-    except KeyError as exc:
-        raise DomainError(f"scope task {exc.args[0]!r} has no label") from None
-    if c.kind == EQ2:
-        return labels[0] == labels[1]
-    if c.kind == NEQ2:
-        return labels[0] != labels[1]
-    if c.kind == BIND:
-        left, right = c.scope_sets
-        return not {label[t] for t in left}.isdisjoint(label[t] for t in right)
-    if c.kind == SEP:
-        return len(set(labels)) > 1
-    if c.kind == ATMOST:
-        return len(set(labels)) <= c.params[0]
-    if c.kind == ATLEAST:
-        return len(set(labels)) >= c.params[0]
-    t_low, t_high = c.params
-    # scope positions, not tasks: a repeated task adds its multiplicity
-    return all(t_low <= n <= t_high for n in Counter(labels).values())
 
 
 def eligible_set(c: ConstraintInstance, tasks: Iterable[str]) -> bool:

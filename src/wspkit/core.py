@@ -1,4 +1,5 @@
-"""Workflow instance model: schemas, constraints, plans, validity checks."""
+"""Workflow instance model: the catalog and what each kind means, schemas,
+constraints, plans, validity checks."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from wspkit.errors import DomainError
 
@@ -21,6 +22,39 @@ CATALOG = {
 }
 # the kind tags, in catalog order
 EQ2, NEQ2, BIND, SEP, ATMOST, ATLEAST, PERUSER = CATALOG
+
+
+def eligible_partition(c: ConstraintInstance, label: Mapping[str, Hashable]) -> bool:
+    """Whether a labelling of the constraint's scope is eligible: what each
+    kind means.
+
+    ``label`` maps every scope task to a hashable block label: two scope
+    tasks share a block iff their labels are equal. Any task-keyed mapping
+    will do, such as a growth-string dict or a plan (labels are users).
+    Tasks outside the scope are ignored, so a labelling of any superset of
+    the scope is accepted.
+    Raises DomainError if some scope task has no label.
+    """
+    try:
+        labels = [label[t] for t in c.scope]
+    except KeyError as exc:
+        raise DomainError(f"scope task {exc.args[0]!r} has no label") from None
+    if c.kind == EQ2:
+        return labels[0] == labels[1]
+    if c.kind == NEQ2:
+        return labels[0] != labels[1]
+    if c.kind == BIND:
+        left, right = c.scope_sets
+        return not {label[t] for t in left}.isdisjoint(label[t] for t in right)
+    if c.kind == SEP:
+        return len(set(labels)) > 1
+    if c.kind == ATMOST:
+        return len(set(labels)) <= c.params[0]
+    if c.kind == ATLEAST:
+        return len(set(labels)) >= c.params[0]
+    t_low, t_high = c.params
+    # scope positions, not tasks: a repeated task adds its multiplicity
+    return all(t_low <= n <= t_high for n in Counter(labels).values())
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -218,37 +252,20 @@ def in_order(positions: dict[str, int], names: Iterable[str]) -> tuple[str, ...]
         return tuple(sorted(names, key=lambda x: (positions.get(x, last), x)))
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A (partial) assignment of tasks to users."""
-
-    assignment: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
-
-    def __getitem__(self, task: str) -> str:
-        return self.assignment[task]
-
-    def __contains__(self, task: str) -> bool:
-        return task in self.assignment
-
-    def items(self):
-        return self.assignment.items()
+# A (partial) plan: any mapping from tasks to the users assigned to them.
+Plan = Mapping[str, str]
 
 
 def satisfies(plan: Plan, c: ConstraintInstance) -> bool:
     """Whether the plan satisfies the constraint.
 
     A plan whose domain omits part of the scope satisfies the constraint
-    vacuously; otherwise the plan's users label the scope's blocks. It
-    reads the plan's assignment mapping directly and imports nothing.
+    vacuously; otherwise the plan's users label the scope's blocks.
     """
-    label = plan.assignment
     for t in c.scope_set:
-        if t not in label:
+        if t not in plan:
             return True
-    return wspkit.constraints.eligible_partition(c, label)
+    return eligible_partition(c, plan)
 
 
 @dataclass(frozen=True)
@@ -261,18 +278,17 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    valid: bool
     violations: tuple[Violation, ...] = ()
 
     def __bool__(self) -> bool:
-        return self.valid
+        return not self.violations
 
 
 def is_valid_plan(schema: WorkflowSchema, plan: Plan) -> Verdict:
     """Check completeness, authorization, and eligibility of a plan."""
     violations: list[Violation] = []
     for t in schema.tasks:
-        if t not in plan.assignment:
+        if t not in plan:
             violations.append(Violation("complete", f"task {t} is unassigned"))
     for t, u in plan.items():
         if t not in schema.auth:
@@ -286,7 +302,7 @@ def is_valid_plan(schema: WorkflowSchema, plan: Plan) -> Verdict:
             violations.append(
                 Violation("eligible", f"constraint #{i} ({describe(c)}) is violated")
             )
-    return Verdict(not violations, tuple(violations))
+    return Verdict(tuple(violations))
 
 
 def describe(c: ConstraintInstance, order: Callable = tuple) -> str:
@@ -305,10 +321,6 @@ class SchemaReport:
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.errors and not self.warnings
-
 
 def validate_schema(schema: WorkflowSchema) -> SchemaReport:
     """Warn of trivially-unsatisfiable empty authorization lists.
@@ -319,6 +331,3 @@ def validate_schema(schema: WorkflowSchema) -> SchemaReport:
     return SchemaReport((), tuple(
         f"task {t} has an empty authorization list (instance is trivially unsatisfiable)"
         for t in schema.tasks if not schema.auth[t]))
-
-
-import wspkit.constraints  # noqa: E402  (last: it imports the names above)

@@ -154,7 +154,7 @@ def serialize_instance(schema: WorkflowSchema, header: Sequence[str] = ()) -> st
     return "\n".join(lines) + "\n"
 
 
-def parse_plan(text: str) -> Plan:
+def parse_plan(text: str) -> dict[str, str]:
     assignment: dict[str, str] = {}
     for line in _content_lines(text):
         parts = line.split()
@@ -164,13 +164,20 @@ def parse_plan(text: str) -> Plan:
         if task in assignment:
             raise ParseError(f"task {task} assigned twice")
         assignment[task] = user
-    return Plan(assignment)
+    return assignment
 
 
 def serialize_plan(plan: Plan, task_order: Sequence[str] = ()) -> str:
+    """The plan as one ``task user`` line per task, tasks in task_order and
+    the rest after them by name. Raises DomainError, naming them, if a task
+    name is empty, starts with '#' or holds whitespace, or a user name is
+    empty or holds whitespace: ``parse_plan`` could not read the text back."""
+    bad_tasks = [t for t in plan if t.split() != [t] or t[0] == "#"]
+    bad_users = [u for u in dict.fromkeys(plan.values()) if u.split() != [u]]
+    if bad_tasks or bad_users:
+        raise DomainError(f"names that cannot be written: tasks {bad_tasks}, users {bad_users}")
     order = {t: i for i, t in enumerate(task_order)}
-    assignment = plan.assignment
-    return "".join(f"{t} {assignment[t]}\n" for t in in_order(order, assignment))
+    return "".join(f"{t} {plan[t]}\n" for t in in_order(order, plan))
 
 
 def parse_relation_spec(text: str) -> RelationSpec:

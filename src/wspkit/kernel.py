@@ -272,7 +272,7 @@ def extend_partial_plan(
     schema: WorkflowSchema,
     partial: Plan,
     representatives: Mapping[str, str],
-) -> Optional[Plan]:
+) -> Optional[dict[str, str]]:
     """Extend an authorized partial plan on the hard tasks to a valid plan.
 
     Ties each block's later tasks to its first with ``eq`` constraints and
@@ -281,10 +281,14 @@ def extend_partial_plan(
     constraints it meets ineligibly is unique. There is no extension if
     elimination dead-ends, or a group holds two blocks or a task its block's
     user is not authorized for; every other task gets its representative.
-    Returns the complete plan or None. Raises ClassificationError if some
+    Returns the complete plan or None. Raises DomainError if the partial
+    plan names a task outside the schema, and ClassificationError if some
     kind does not qualify.
     """
-    assignment = dict(partial.items())
+    unknown = set(partial) - set(schema.tasks)
+    if unknown:
+        raise DomainError(f"partial plan names unknown tasks: {sorted(unknown)}")
+    assignment = dict(partial)
     # each block's first task, keyed by user
     first: dict[str, str] = {}
     ties = []
@@ -309,13 +313,10 @@ def extend_partial_plan(
         if group not in owner and t not in representatives:
             raise DomainError(f"no representative for unassigned task {t}")
         assignment[t] = owner[group] if group in owner else representatives[t]
-    plan = Plan(assignment)
-    if not is_valid_plan(schema, plan):
-        return None
-    return plan
+    return assignment if is_valid_plan(schema, assignment) else None
 
 
-def lift_plan(result: KernelResult, plan: Plan) -> Plan:
+def lift_plan(result: KernelResult, plan: Plan) -> dict[str, str]:
     """Replay the merge log backwards to recover a plan for the original schema."""
     verdict = is_valid_plan(result.schema, plan)
     if not verdict:
@@ -323,7 +324,7 @@ def lift_plan(result: KernelResult, plan: Plan) -> Plan:
             "plan is not valid for the reduced schema: "
             + "; ".join(v.detail for v in verdict.violations)
         )
-    assignment = dict(plan.items())
+    assignment = dict(plan)
     for record in reversed(result.merge_log):
         assignment[record.absorbed] = assignment[record.surviving]
-    return Plan(assignment)
+    return assignment

@@ -12,16 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Mapping, Optional
 
-from wspkit.constraints import eligible_partition
-from wspkit.core import ConstraintInstance, Plan, WorkflowSchema
+from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, eligible_partition
 from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.matching import maximum_matching
 # Not called here: bench/tracing.py rebinds solver.growth_strings, and the
 # traced benchmark reports partitions.enumerate_s only while the name exists.
 from wspkit.partitions import growth_strings  # noqa: F401
-
-SATISFIABLE = "satisfiable"
-UNSATISFIABLE = "unsatisfiable"
 
 DEFAULT_PLAN_CAP = 10**7
 
@@ -36,18 +32,21 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str
-    plan: Optional[Plan] = None
+    plan: Optional[Plan]
     stats: SolveStats = field(default_factory=SolveStats)
 
     @property
     def satisfiable(self) -> bool:
-        return self.status == SATISFIABLE
+        return self.plan is not None
+
+    @property
+    def status(self) -> str:
+        return "satisfiable" if self.satisfiable else "unsatisfiable"
 
 
 def assign_blocks(
     schema: WorkflowSchema, label: Mapping[str, Hashable]
-) -> Optional[Plan]:
+) -> Optional[dict[str, str]]:
     """Injective block-to-user assignment respecting every member's authorization.
 
     ``label`` maps every schema task to a hashable block label, as in
@@ -71,7 +70,7 @@ def assign_blocks(
     matching = maximum_matching(list(blocks), adj)
     if len(matching) != len(blocks):
         return None
-    return Plan({t: u for which, u in matching.items() for t in blocks[which]})
+    return {t: u for which, u in matching.items() for t in blocks[which]}
 
 
 def _constraints_by_depth(
@@ -162,9 +161,9 @@ def solve_fpt(
                 matchings += 1
                 plan = assign_blocks(schema, label)
                 if plan is not None:
-                    return SolveOutcome(SATISFIABLE, plan, SolveStats(nodes, matchings))
+                    return SolveOutcome(plan, SolveStats(nodes, matchings))
             if depth == 0:
-                return SolveOutcome(UNSATISFIABLE, None, SolveStats(nodes, matchings))
+                return SolveOutcome(None, SolveStats(nodes, matchings))
             depth -= 1
         # take the task at this depth back out of its block
         if before[depth] is None:
@@ -173,7 +172,7 @@ def solve_fpt(
             common[label[tasks[depth]]] = before[depth]
 
 
-def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
+def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[dict[str, str]]:
     """Depth-first enumeration of complete authorized eligible plans.
 
     Tasks are assigned in declaration order and users tried in declaration
@@ -198,7 +197,7 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[Plan]:
     depth = 0
     while depth >= 0:
         if depth == k:
-            yield Plan(assignment)
+            yield dict(assignment)
             depth -= 1
             continue
         t = tasks[depth]
@@ -222,17 +221,14 @@ def solve_bruteforce(
     schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
 ) -> SolveOutcome:
     """Independent oracle: first valid plan in lexicographic order, if any."""
-    plan = next(_dfs_plans(schema, plan_cap), None)
-    if plan is None:
-        return SolveOutcome(UNSATISFIABLE)
-    return SolveOutcome(SATISFIABLE, plan)
+    return SolveOutcome(next(_dfs_plans(schema, plan_cap), None))
 
 
 def project(
     schema: WorkflowSchema,
     tasks: frozenset[str] | set[str],
     plan_cap: int = DEFAULT_PLAN_CAP,
-) -> tuple[Plan, ...]:
+) -> tuple[dict[str, str], ...]:
     """All restrictions to the given tasks of valid complete plans.
 
     Returned in a canonical order (sorted by the assigned users in task
@@ -244,4 +240,4 @@ def project(
         raise DomainError(f"projection onto unknown tasks: {sorted(unknown)}")
     ordered = schema.sort_tasks(tasks)
     seen = {tuple(plan[t] for t in ordered) for plan in _dfs_plans(schema, plan_cap)}
-    return tuple(Plan(dict(zip(ordered, key))) for key in sorted(seen))
+    return tuple(dict(zip(ordered, key)) for key in sorted(seen))

@@ -24,4 +24,4 @@ def wstar() -> WorkflowSchema:
 
 @pytest.fixture
 def wstar_plan() -> Plan:
-    return Plan({"s1": "u1", "s2": "u1", "s3": "u6"})
+    return {"s1": "u1", "s2": "u1", "s3": "u6"}

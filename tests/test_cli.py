@@ -4,7 +4,6 @@ import pytest
 
 from wspkit import formats, kernel, solver
 from wspkit.cli import main
-from wspkit.core import Plan
 
 from test_formats import serialize_relation_spec
 
@@ -105,9 +104,7 @@ class TestSolve:
             "", "error: plan_cap must be at least 0, got -3\n")
 
     def test_invalid_plan_is_an_error(self, wstar_file, monkeypatch, capsys):
-        bad = solver.SolveOutcome(
-            solver.SATISFIABLE, Plan({"s1": "u1", "s2": "u1", "s3": "u1"})
-        )
+        bad = solver.SolveOutcome({"s1": "u1", "s2": "u1", "s3": "u1"})
         monkeypatch.setattr(solver, "solve_fpt", lambda schema, plan_cap: bad)
         assert main(["solve", wstar_file]) == 2
         captured = capsys.readouterr()

@@ -19,7 +19,6 @@ from wspkit.constraints import (
 )
 from wspkit.core import (
     ConstraintInstance,
-    Plan,
     WorkflowSchema,
     at_least,
     at_most,
@@ -132,7 +131,7 @@ class TestLabelType:
             for t, which in zip(scope, code):
                 groups.setdefault(which, set()).add(t)
             partition = blocks(*groups.values())
-            plan = Plan({t: f"user{which}" for t, which in zip(scope, code)})
+            plan = {t: f"user{which}" for t, which in zip(scope, code)}
             ints = {"outside": 0, **{t: 10 * which for t, which in zip(scope, code)}}
             verdict = eligible_partition(c, partition)
             assert eligible_partition(c, plan) == verdict
@@ -144,7 +143,7 @@ class TestLabelType:
     )
     def test_missing_scope_task(self, c):
         missing, *rest = c.scope_set
-        for label in (Plan({t: "u" for t in rest}), {t: 0 for t in rest},
+        for label in ({t: "u" for t in rest}, {t: 0 for t in rest},
                       blocks(set(rest) | {"outside"})):
             with pytest.raises(DomainError):
                 eligible_partition(c, label)

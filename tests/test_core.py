@@ -1,5 +1,6 @@
 """Schema, constraint, plan, and validity checks."""
 
+import ast
 import builtins
 import dataclasses
 import os
@@ -7,15 +8,19 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wspkit
+from wspkit import formats
 from wspkit.core import (
     ConstraintInstance,
-    Plan,
+    SchemaReport,
+    Verdict,
+    Violation,
     WorkflowSchema,
     at_most,
     disequality,
@@ -27,18 +32,20 @@ from wspkit.core import (
     validate_schema,
 )
 from wspkit.errors import DomainError
+from wspkit.kernel import extend_partial_plan, kernelize, lift_plan
 from wspkit.reductions import gen_random_instance
+from wspkit.solver import SolveOutcome, assign_blocks, project, solve_bruteforce, solve_fpt
 
 
 class TestSatisfies:
     def test_uncovered_scope_is_vacuous(self):
-        assert satisfies(Plan({"s1": "u1"}), disequality("s1", "s3"))
+        assert satisfies({"s1": "u1"}, disequality("s1", "s3"))
 
     def test_running_example_equality(self, wstar_plan):
         assert satisfies(wstar_plan, equality("s1", "s2"))
 
     def test_violated_disequality(self):
-        assert not satisfies(Plan({"s1": "u1", "s3": "u1"}), disequality("s1", "s3"))
+        assert not satisfies({"s1": "u1", "s3": "u1"}, disequality("s1", "s3"))
 
 
 class TestIsValidPlan:
@@ -46,17 +53,17 @@ class TestIsValidPlan:
         assert is_valid_plan(wstar, wstar_plan)
 
     def test_authorization_violation(self, wstar):
-        verdict = is_valid_plan(wstar, Plan({"s1": "u2", "s2": "u2", "s3": "u6"}))
+        verdict = is_valid_plan(wstar, {"s1": "u2", "s2": "u2", "s3": "u6"})
         assert not verdict
         assert any(v.check == "authorized" and "s2" in v.detail
                    for v in verdict.violations)
 
     def test_empty_schema_empty_plan(self):
         schema = WorkflowSchema((), (), {})
-        assert is_valid_plan(schema, Plan({}))
+        assert is_valid_plan(schema, {})
 
     def test_missing_task_reported(self, wstar):
-        verdict = is_valid_plan(wstar, Plan({"s1": "u1"}))
+        verdict = is_valid_plan(wstar, {"s1": "u1"})
         assert any(v.check == "complete" for v in verdict.violations)
 
 
@@ -184,7 +191,7 @@ class TestPlanCheckImports:
         constraints = [disequality(a, b) for a, b in zip(tasks, tasks[1:])]
         schema = WorkflowSchema(tasks, ("u", "v"), {t: {"u", "v"} for t in tasks},
                                 constraints)
-        plan = Plan({t: "uv"[i % 2] for i, t in enumerate(tasks)})
+        plan = {t: "uv"[i % 2] for i, t in enumerate(tasks)}
         imports = []
         real = builtins.__import__
 
@@ -205,15 +212,15 @@ class TestPlanCheckImports:
     def test_either_module_imports_first(self, first, second):
         script = (
             f"import {first}, {second}\n"
-            "from wspkit.core import Plan, WorkflowSchema, disequality, "
+            "from wspkit.core import WorkflowSchema, disequality, "
             "is_valid_plan, satisfies\n"
             "c = disequality('a', 'b')\n"
             "schema = WorkflowSchema(('a', 'b'), ('u', 'v'), "
             "{'a': {'u'}, 'b': {'v'}}, (c,))\n"
-            "assert satisfies(Plan({'a': 'u', 'b': 'v'}), c)\n"
-            "assert not satisfies(Plan({'a': 'u', 'b': 'u'}), c)\n"
-            "assert is_valid_plan(schema, Plan({'a': 'u', 'b': 'v'}))\n"
-            "assert not is_valid_plan(schema, Plan({'a': 'u', 'b': 'u'}))\n"
+            "assert satisfies({'a': 'u', 'b': 'v'}, c)\n"
+            "assert not satisfies({'a': 'u', 'b': 'u'}, c)\n"
+            "assert is_valid_plan(schema, {'a': 'u', 'b': 'v'})\n"
+            "assert not is_valid_plan(schema, {'a': 'u', 'b': 'u'})\n"
         )
         src = str(Path(wspkit.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -222,9 +229,56 @@ class TestPlanCheckImports:
         assert done.returncode == 0, done.stderr
 
 
+class TestPlanIsAMapping:
+    """A plan is any task -> user mapping, and the plans wspkit returns are dicts."""
+
+    @pytest.mark.parametrize("plan", [
+        {"s1": "u1", "s2": "u1", "s3": "u6"}, {"s1": "u1", "s2": "u4", "s3": "u1"},
+        {"s1": "u2"}, {"s1": "u1", "x": "u9"}, {},
+    ])
+    def test_a_read_only_view_reads_as_its_dict(self, wstar, plan):
+        view = MappingProxyType(plan)
+        assert is_valid_plan(wstar, view) == is_valid_plan(wstar, plan)
+        assert [satisfies(view, c) for c in wstar.constraints] == [
+            satisfies(plan, c) for c in wstar.constraints]
+        assert (formats.serialize_plan(view, wstar.tasks)
+                == formats.serialize_plan(plan, wstar.tasks))
+
+    def test_lifting_reads_a_read_only_view(self, wstar):
+        result = kernelize(wstar)
+        plan = {"s1": "u1", "s3": "u6"}
+        assert lift_plan(result, MappingProxyType(plan)) == lift_plan(result, plan)
+
+    def test_returned_plans_are_dicts(self, wstar):
+        result = kernelize(wstar)
+        plans = [
+            solve_fpt(wstar).plan, solve_bruteforce(wstar).plan,
+            *project(wstar, {"s1", "s3"}), lift_plan(result, solve_fpt(result.schema).plan),
+            formats.parse_plan("s1 u1\n"), assign_blocks(wstar, {"s1": 0, "s2": 0, "s3": 1}),
+            extend_partial_plan(result.schema, {}, result.representatives),
+        ]
+        assert [type(p) for p in plans] == [dict] * len(plans)
+
+    def test_outcome_and_verdict_derive_their_verdicts(self):
+        assert [f.name for f in dataclasses.fields(SolveOutcome)] == ["plan", "stats"]
+        assert SolveOutcome(None).status == "unsatisfiable"
+        assert not SolveOutcome(None).satisfiable
+        assert SolveOutcome({}).satisfiable and SolveOutcome({}).status == "satisfiable"
+        assert [f.name for f in dataclasses.fields(Verdict)] == ["violations"]
+        assert Verdict(()) and not Verdict((Violation("complete", "task a is unassigned"),))
+
+    def test_core_imports_no_other_wspkit_module(self):
+        tree = ast.parse(Path(wspkit.core.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module}
+        assert {n for n in names if n.split(".")[0] == "wspkit"} == {"wspkit.errors"}
+
+
 class TestValidateSchema:
     def test_running_example_clean(self, wstar):
-        assert validate_schema(wstar).clean
+        assert validate_schema(wstar) == SchemaReport((), ())
 
     def test_empty_authorization_warns(self):
         schema = WorkflowSchema(("a",), ("u",), {"a": set()})

@@ -16,7 +16,6 @@ from wspkit.core import (
     PAIR,
     SETS,
     ConstraintInstance,
-    Plan,
     WorkflowSchema,
     at_least,
     describe,
@@ -230,7 +229,7 @@ class TestInstanceFormat:
         except DomainError:
             return
         assume(users)
-        plan = Plan({t: data.draw(st.sampled_from(users)) for t in tasks})
+        plan = {t: data.draw(st.sampled_from(users)) for t in tasks}
         assert formats.parse_plan(formats.serialize_plan(plan, schema.tasks)) == plan
 
     @pytest.mark.parametrize("header", [
@@ -381,12 +380,36 @@ class TestPlanFormat:
     @given(tasks=st.lists(NAMES, unique=True, max_size=8), users=st.lists(NAMES, min_size=1),
            data=st.data())
     def test_random_plans_round_trip(self, tasks, users, data):
-        plan = Plan({t: data.draw(st.sampled_from(users)) for t in tasks})
+        plan = {t: data.draw(st.sampled_from(users)) for t in tasks}
         order = data.draw(st.permutations(tasks))
         text = formats.serialize_plan(plan, order)
         back = formats.parse_plan(text)
         assert back == plan
         assert formats.serialize_plan(back, order) == text
+
+    @pytest.mark.parametrize("plan,named", [
+        ({"a": "u v"}, "tasks [], users ['u v']"),
+        ({"a": ""}, "tasks [], users ['']"),
+        ({"#a": "u"}, "tasks ['#a'], users []"),
+        ({"a b": "u", "": "u", "c": "\t", "d": "\t"}, "tasks ['a b', ''], users ['\\t']"),
+    ])
+    def test_unwritable_names_refused(self, plan, named):
+        message = f"names that cannot be written: {named}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            formats.serialize_plan(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan=st.dictionaries(st.text("#a \n", max_size=3), st.text("#u \t", max_size=3),
+                                max_size=4))
+    def test_any_names_refused_or_round_tripped(self, plan):
+        writable = (all(re.fullmatch(r"[^\s#]\S*", t) for t in plan)
+                    and all(re.fullmatch(r"\S+", u) for u in plan.values()))
+        try:
+            text = formats.serialize_plan(plan)
+        except DomainError:
+            assert not writable
+        else:
+            assert writable and formats.parse_plan(text) == plan
 
 
 class TestRelationSpecFormat:

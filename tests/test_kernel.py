@@ -1,6 +1,7 @@
 """Equality elimination, user marking, kernelization, and plan lifting."""
 
 import random
+import re
 import time
 from itertools import combinations, product
 from typing import Optional
@@ -15,7 +16,6 @@ from wspkit.constraints import classification, eligible_set, required_additions
 from wspkit.core import (
     EQ2,
     ConstraintInstance,
-    Plan,
     WorkflowSchema,
     at_least,
     at_most,
@@ -391,7 +391,7 @@ class TestExtendPartialPlan:
     def test_padding_from_empty_partial(self, wstar):
         result = kernelize(wstar)
         plan = extend_partial_plan(
-            result.schema, Plan({}), result.representatives
+            result.schema, {}, result.representatives
         )
         assert plan is not None
         assert dict(plan.items()) == {"s1": "u1", "s3": "u6"}
@@ -399,7 +399,7 @@ class TestExtendPartialPlan:
     def test_unauthorized_partial_rejected(self, wstar):
         result = kernelize(wstar)
         plan = extend_partial_plan(
-            result.schema, Plan({"s1": "u6"}), result.representatives
+            result.schema, {"s1": "u6"}, result.representatives
         )
         assert plan is None
 
@@ -408,7 +408,7 @@ class TestExtendPartialPlan:
             ("a", "b"), ("u",), {"a": {"u"}, "b": {"u"}},
             (disequality("a", "b"),),
         )
-        plan = extend_partial_plan(schema, Plan({"a": "u", "b": "u"}), {})
+        plan = extend_partial_plan(schema, {"a": "u", "b": "u"}, {})
         assert plan is None
 
     def test_block_closure_needs_a_second_pass(self):
@@ -417,7 +417,7 @@ class TestExtendPartialPlan:
             ("a", "b", "c", "d"), ("u", "v"), {t: {"u", "v"} for t in "abcd"},
             (equality("b", "c"), equality("a", "b")),
         )
-        plan = extend_partial_plan(schema, Plan({"a": "u"}), {"d": "v"})
+        plan = extend_partial_plan(schema, {"a": "u"}, {"d": "v"})
         assert plan is not None
         assert dict(plan.items()) == {"a": "u", "b": "u", "c": "u", "d": "v"}
 
@@ -427,7 +427,7 @@ class TestExtendPartialPlan:
             ("a", "b", "c"), ("u", "v"), {t: {"u", "v"} for t in "abc"},
             (equality("a", "b"), equality("c", "b")),
         )
-        assert extend_partial_plan(schema, Plan(partial), {}) is None
+        assert extend_partial_plan(schema, partial, {}) is None
 
     def test_kind_not_intersection_closed_refused(self):
         # bind with a singleton side is regular but not intersection-closed,
@@ -437,18 +437,23 @@ class TestExtendPartialPlan:
             (binding(("a",), ("b", "c")),),
         )
         with pytest.raises(ClassificationError, match="is not intersection-closed$"):
-            extend_partial_plan(schema, Plan({"a": "u"}), {"b": "u", "c": "v"})
+            extend_partial_plan(schema, {"a": "u"}, {"b": "u", "c": "v"})
 
     def test_task_without_representative_refused(self, wstar):
         result = kernelize(wstar)
         with pytest.raises(DomainError, match="^no representative for unassigned task s3$"):
-            extend_partial_plan(result.schema, Plan({"s1": "u1"}), {})
+            extend_partial_plan(result.schema, {"s1": "u1"}, {})
+
+    def test_unknown_task_refused(self, wstar):
+        message = "partial plan names unknown tasks: ['a', 'zz']"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            extend_partial_plan(wstar, {"zz": "u1", "s1": "u1", "a": "u1"}, {})
 
 
 class TestLiftPlan:
     def test_running_example(self, wstar):
         result = kernelize(wstar)
-        reduced_plan = Plan({"s1": "u1", "s3": "u6"})
+        reduced_plan = {"s1": "u1", "s3": "u6"}
         lifted = lift_plan(result, reduced_plan)
         assert dict(lifted.items()) == {"s1": "u1", "s2": "u1", "s3": "u6"}
         assert is_valid_plan(wstar, lifted)
@@ -456,7 +461,7 @@ class TestLiftPlan:
     def test_identity_without_merges(self):
         schema = WorkflowSchema(("a",), ("u",), {"a": {"u"}})
         result = kernelize(schema)
-        lifted = lift_plan(result, Plan({"a": "u"}))
+        lifted = lift_plan(result, {"a": "u"})
         assert dict(lifted.items()) == {"a": "u"}
 
     def test_three_way_chain(self):
@@ -474,7 +479,7 @@ class TestLiftPlan:
     def test_invalid_input_rejected(self, wstar):
         result = kernelize(wstar)
         with pytest.raises(DomainError, match="^plan is not valid for the reduced schema: "):
-            lift_plan(result, Plan({"s1": "u1", "s3": "u1"}))
+            lift_plan(result, {"s1": "u1", "s3": "u1"})
 
 
 # Reference implementations. Each is the straightforward form of a kernel
@@ -811,7 +816,7 @@ def test_representatives_certify_the_kernel(schema):
     # valid plan through the representatives
     extended = None
     for users in product(*(reduced.sort_users(reduced.auth[t]) for t in result.hard)):
-        partial = Plan(dict(zip(result.hard, users)))
+        partial = dict(zip(result.hard, users))
         extended = extend_partial_plan(reduced, partial, result.representatives)
         if extended is not None:
             break

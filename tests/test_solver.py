@@ -4,7 +4,6 @@ import pytest
 
 from wspkit.constraints import eligible_partition
 from wspkit.core import (
-    Plan,
     WorkflowSchema,
     disequality,
     is_valid_plan,
