@@ -326,7 +326,9 @@ def validate_schema(schema: WorkflowSchema) -> SchemaReport:
     """Warn of trivially-unsatisfiable empty authorization lists.
 
     ``errors`` is always empty: a schema that is not well-formed is
-    refused when it is built.
+    refused when it is built. Kept only because the benchmark
+    (``bench/run.py``) calls it; it goes with the benchmark half of
+    ROADMAP item 18.
     """
     return SchemaReport((), tuple(
         f"task {t} has an empty authorization list (instance is trivially unsatisfiable)"

@@ -1,4 +1,4 @@
-"""Satisfiability: FPT partition search, brute-force oracle, projection.
+"""Satisfiability: FPT partition search and a brute-force oracle.
 
 ``solve_fpt`` searches task partitions depth first, pruning prefixes that
 break a completed constraint scope, a block's common authorization or the
@@ -10,7 +10,7 @@ independent oracle. Both bound their search nodes by ``plan_cap``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from wspkit.core import ConstraintInstance, Plan, WorkflowSchema, eligible_partition
 from wspkit.errors import DomainError, ResourceLimitError
@@ -172,17 +172,20 @@ def solve_fpt(
             common[label[tasks[depth]]] = before[depth]
 
 
-def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[dict[str, str]]:
-    """Depth-first enumeration of complete authorized eligible plans.
+def solve_bruteforce(
+    schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
+) -> SolveOutcome:
+    """Independent oracle: the first valid plan in lexicographic order, if any.
 
     Tasks are assigned in declaration order and users tried in declaration
-    order, so complete plans are yielded in lexicographic order. Branches
-    are pruned once an authorization or a fully-assigned constraint fails;
-    pruning never skips a valid plan, so the first plan found equals the
-    first valid plan in the full lexicographic enumeration. plan_cap bounds
-    the number of search nodes visited (authorized users tried), not the
-    raw plan space; a negative one raises DomainError before the search
-    starts. The search keeps its own stack, so any number of tasks fits.
+    order. A branch is pruned once an authorization or a fully-assigned
+    constraint fails; pruning never skips a valid plan, so the first
+    complete plan reached is the first valid plan of the full
+    lexicographic enumeration. ``plan_cap`` bounds the search nodes
+    (authorized users tried), not the raw plan space: more than that many
+    raise ResourceLimitError, and a negative one raises DomainError before
+    the search starts. The search keeps its own stack, so any number of
+    tasks fits; the stats stay at zero.
     """
     _check_budget(plan_cap)
     tasks = schema.tasks
@@ -190,54 +193,27 @@ def _dfs_plans(schema: WorkflowSchema, plan_cap: int) -> Iterator[dict[str, str]
     by_depth = _constraints_by_depth(schema)
     # users_at[d]: the users authorized for the task at depth d, in order
     users_at = [schema.sort_users(schema.auth[t]) for t in tasks]
+    # tasks deeper than the current depth keep stale users, each one
+    # overwritten before a constraint or the returned plan reads it
     assignment: dict[str, str] = {}
     # next_user[d]: index in users_at[d] of the next user to try
     next_user = [0] * (k + 1)
     nodes = 0
     depth = 0
-    while depth >= 0:
-        if depth == k:
-            yield dict(assignment)
-            depth -= 1
-            continue
-        t = tasks[depth]
+    while depth < k:
         i = next_user[depth]
         if i == len(users_at[depth]):
-            assignment.pop(t, None)
+            if depth == 0:
+                return SolveOutcome(None)
             depth -= 1
             continue
         next_user[depth] = i + 1
         nodes += 1
         if nodes > plan_cap:
             raise _budget_exhausted(plan_cap)
-        assignment[t] = users_at[depth][i]
+        assignment[tasks[depth]] = users_at[depth][i]
         # scopes at this depth are fully assigned by construction
         if all(eligible_partition(c, assignment) for c in by_depth[depth]):
             depth += 1
             next_user[depth] = 0
-
-
-def solve_bruteforce(
-    schema: WorkflowSchema, plan_cap: int = DEFAULT_PLAN_CAP
-) -> SolveOutcome:
-    """Independent oracle: first valid plan in lexicographic order, if any."""
-    return SolveOutcome(next(_dfs_plans(schema, plan_cap), None))
-
-
-def project(
-    schema: WorkflowSchema,
-    tasks: frozenset[str] | set[str],
-    plan_cap: int = DEFAULT_PLAN_CAP,
-) -> tuple[dict[str, str], ...]:
-    """All restrictions to the given tasks of valid complete plans.
-
-    Returned in a canonical order (sorted by the assigned users in task
-    declaration order), without duplicates.
-    """
-    tasks = frozenset(tasks)
-    unknown = tasks - set(schema.tasks)
-    if unknown:
-        raise DomainError(f"projection onto unknown tasks: {sorted(unknown)}")
-    ordered = schema.sort_tasks(tasks)
-    seen = {tuple(plan[t] for t in ordered) for plan in _dfs_plans(schema, plan_cap)}
-    return tuple(dict(zip(ordered, key)) for key in sorted(seen))
+    return SolveOutcome(assignment)

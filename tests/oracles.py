@@ -1,14 +1,47 @@
-"""Brute-force oracles for the source problems of the hardness reductions.
+"""Brute-force oracles: every valid plan, and the source problems of the
+hardness reductions.
 
-They decide CNF satisfiability and multi-colored hitting set by plain
-enumeration, independently of wspkit's solvers, so the tests can check
-``sat_to_wsp`` and ``mchs_to_wsp`` end to end.
+``valid_plans`` and ``project`` enumerate the plans of a schema by plain
+product, sharing no search code with wspkit's solvers. The CNF and
+multi-colored hitting set oracles decide those problems by plain
+enumeration, so the tests can check ``sat_to_wsp`` and ``mchs_to_wsp`` end
+to end.
 """
 
+from collections.abc import Iterable, Iterator
 from itertools import product
 
-from wspkit.errors import ResourceLimitError
+from wspkit.core import WorkflowSchema, is_valid_plan
+from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.reductions import CnfFormula, MchsInstance
+
+
+def valid_plans(schema: WorkflowSchema) -> Iterator[dict[str, str]]:
+    """Every valid plan, in lexicographic order.
+
+    Candidates assign tasks in declaration order, each trying its
+    authorized users in declaration order, and every candidate is checked.
+    """
+    tasks = schema.tasks
+    for users in product(*(schema.sort_users(schema.auth[t]) for t in tasks)):
+        plan = dict(zip(tasks, users))
+        if is_valid_plan(schema, plan):
+            yield plan
+
+
+def project(schema: WorkflowSchema, tasks: Iterable[str]) -> tuple[dict[str, str], ...]:
+    """All restrictions to the given tasks of valid plans, without duplicates.
+
+    Rows are sorted by their users in task declaration order. Raises
+    DomainError if a target task is not in the schema.
+    """
+    tasks = frozenset(tasks)
+    unknown = tasks - set(schema.tasks)
+    if unknown:
+        raise DomainError(f"projection onto unknown tasks: {sorted(unknown)}")
+    ordered = schema.sort_tasks(tasks)
+    seen = {tuple(plan[t] for t in ordered) for plan in valid_plans(schema)}
+    return tuple(dict(zip(ordered, key)) for key in sorted(seen))
 
 
 def solve_sat_bruteforce(formula: CnfFormula, max_vars: int = 20) -> bool:

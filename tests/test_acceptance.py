@@ -44,9 +44,9 @@ from wspkit.reductions import (
     mchs_to_wsp,
     sat_to_wsp,
 )
-from wspkit.solver import project, solve_bruteforce, solve_fpt
+from wspkit.solver import solve_bruteforce, solve_fpt
 
-from oracles import solve_mchs_bruteforce, solve_sat_bruteforce
+from oracles import project, solve_mchs_bruteforce, solve_sat_bruteforce
 from test_constraints import enumerate_eligible_sets
 
 NAMES = ("a", "b", "c", "d", "e", "f")

@@ -34,7 +34,7 @@ from wspkit.core import (
 from wspkit.errors import DomainError
 from wspkit.kernel import extend_partial_plan, kernelize, lift_plan
 from wspkit.reductions import gen_random_instance
-from wspkit.solver import SolveOutcome, assign_blocks, project, solve_bruteforce, solve_fpt
+from wspkit.solver import SolveOutcome, assign_blocks, solve_bruteforce, solve_fpt
 
 
 class TestSatisfies:
@@ -253,7 +253,7 @@ class TestPlanIsAMapping:
         result = kernelize(wstar)
         plans = [
             solve_fpt(wstar).plan, solve_bruteforce(wstar).plan,
-            *project(wstar, {"s1", "s3"}), lift_plan(result, solve_fpt(result.schema).plan),
+            lift_plan(result, solve_fpt(result.schema).plan),
             formats.parse_plan("s1 u1\n"), assign_blocks(wstar, {"s1": 0, "s2": 0, "s3": 1}),
             extend_partial_plan(result.schema, {}, result.representatives),
         ]

@@ -1,5 +1,7 @@
 """FPT solver, brute-force oracle, projection, and block assignment."""
 
+import random
+
 import pytest
 
 from wspkit.constraints import eligible_partition
@@ -15,10 +17,11 @@ from wspkit.partitions import growth_strings
 from wspkit.reductions import gen_random_instance
 from wspkit.solver import (
     assign_blocks,
-    project,
     solve_bruteforce,
     solve_fpt,
 )
+
+from oracles import project, valid_plans
 
 
 def blocks(*groups):
@@ -184,16 +187,21 @@ class TestSolveBruteforce:
         assert outcome.satisfiable
         assert dict(outcome.plan.items()) == {t: "u2" for t in tasks}
 
+    def test_first_valid_plan(self):
+        # the oracle's contract, restated by plain enumeration
+        for seed in range(300):
+            schema = gen_random_instance(
+                num_tasks=2 + seed % 4, num_users=1 + (seed // 4) % 4,
+                num_constraints=seed % 6, kinds=ALL_KINDS, seed=seed,
+            )
+            assert solve_bruteforce(schema).plan == next(valid_plans(schema), None), seed
+
 
 class TestNodeBudget:
     @pytest.mark.parametrize("solve", [solve_fpt, solve_bruteforce], ids=["fpt", "brute"])
     def test_negative_budget_refused(self, wstar, solve):
         with pytest.raises(DomainError, match=r"^plan_cap must be at least 0, got -3$"):
             solve(wstar, plan_cap=-3)
-
-    def test_negative_budget_refused_by_projection(self, wstar):
-        with pytest.raises(DomainError, match=r"^plan_cap must be at least 0, got -1$"):
-            project(wstar, {"s1"}, plan_cap=-1)
 
     @pytest.mark.parametrize("solve", [solve_fpt, solve_bruteforce], ids=["fpt", "brute"])
     def test_zero_budget_decides_the_empty_schema(self, solve):
@@ -271,6 +279,31 @@ class TestProject:
     def test_unknown_task_rejected(self, wstar):
         with pytest.raises(DomainError):
             project(wstar, {"nope"})
+
+
+class TestProjectionAgreement:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_solvers_agree_with_projection(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(2, 5)
+        # n^k <= 1024 keeps the enumeration small
+        n = rng.randint(1, max(m for m in range(1, 7) if m**k <= 1024))
+        schema = gen_random_instance(
+            num_tasks=k, num_users=n, num_constraints=rng.randint(0, 4),
+            kinds=ALL_KINDS, seed=seed, density=0.8,
+        )
+        target = {t for t in schema.tasks if rng.random() < 0.5}
+        rows = project(schema, target)
+        outcomes = [solve_fpt(schema), solve_bruteforce(schema)]
+        assert [o.satisfiable for o in outcomes] == [bool(rows)] * 2
+        for outcome in outcomes:
+            if outcome.satisfiable:
+                assert {t: outcome.plan[t] for t in target} in rows
+        ordered = schema.sort_tasks(target)
+        keys = [tuple(row[t] for t in ordered) for row in rows]
+        assert all(set(row) == target for row in rows)
+        # strictly increasing: sorted and distinct
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestAssignBlocks:
