@@ -2,8 +2,10 @@
 
 A relation is given as a RelationSpec: its eligible partitions of
 {1,..,r}, each a restricted growth string whose index i is position i + 1,
-read from a spec file or derived from a catalog constraint. The
-predicates decide regularity, intersection-closure, and the ternary
+read from a spec file or derived from a catalog constraint.
+`classify_relation` decides regularity and intersection-closure in one
+call, with a counterexample or witness for each "no"; a relation that is
+not regular has no witness. `matches_ternary_condition` decides the
 gadget condition used by the hitting-set reduction.
 """
 
@@ -14,7 +16,7 @@ from typing import Optional
 
 from wspkit.core import ConstraintInstance
 from wspkit.constraints import enumerate_eligible_partitions
-from wspkit.errors import ClassificationError, DomainError, ResourceLimitError
+from wspkit.errors import DomainError, ResourceLimitError
 from wspkit.partitions import blocks, growth_string, growth_strings
 
 ARITY_CAP = 8
@@ -49,51 +51,33 @@ def eligible_sets(spec: RelationSpec) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class RegularityResult:
-    regular: bool
-    counterexample: Optional[tuple[int, ...]] = None
+def classify_relation(
+    spec: RelationSpec,
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[frozenset[int], frozenset[int]]]]:
+    """The (counterexample, witness) pair that decides both dichotomy questions.
 
-
-def is_regular(spec: RelationSpec) -> RegularityResult:
-    """A relation is regular iff each partition with all blocks eligible is eligible.
-
-    The counterexample, if any, is the failing growth string whose sorted
-    blocks are lexicographically least.
+    A relation is regular iff each partition with all blocks eligible is
+    eligible; the counterexample is the failing growth string whose sorted
+    blocks are lexicographically least, or None if the relation is regular.
+    Intersection-closure is defined for regular relations only, so a
+    relation that is not regular has no witness. For a regular one, the
+    witness is the lexicographically least pair of eligible sets whose
+    intersection is not eligible, or None if the relation is
+    intersection-closed.
     """
     family = eligible_sets(spec)
-    failing = [
-        code
-        for code in growth_strings(spec.arity)
-        if code not in spec.eligible_partitions
-        and all(frozenset(i + 1 for i in b) in family for b in blocks(code))
-    ]
-    if failing:
-        return RegularityResult(False, counterexample=min(failing, key=blocks))
-    return RegularityResult(True)
-
-
-@dataclass(frozen=True)
-class IntersectionClosureResult:
-    intersection_closed: bool
-    witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
-
-
-def is_intersection_closed(spec: RelationSpec) -> IntersectionClosureResult:
-    """Closure of the eligible-set family under pairwise intersection.
-
-    Defined for regular relations only; raises ClassificationError otherwise.
-    The witness, if any, is the lexicographically least failing pair.
-    """
-    if not is_regular(spec).regular:
-        raise ClassificationError("intersection-closure is defined for regular relations")
-    family = eligible_sets(spec)
-    failing = [tuple(sorted((a, b), key=sorted))
-               for a in family for b in family if (a & b) not in family]
-    if failing:
-        witness = min(failing, key=lambda pair: [sorted(s) for s in pair])
-        return IntersectionClosureResult(False, witness=witness)
-    return IntersectionClosureResult(True)
+    counterexample = min(
+        (code for code in growth_strings(spec.arity)
+         if code not in spec.eligible_partitions
+         and all(frozenset(i + 1 for i in b) in family for b in blocks(code))),
+        key=blocks, default=None)
+    if counterexample is not None:
+        return counterexample, None
+    witness = min(
+        (tuple(sorted((a, b), key=sorted))
+         for a in family for b in family if (a & b) not in family),
+        key=lambda pair: [sorted(s) for s in pair], default=None)
+    return None, witness
 
 
 def matches_ternary_condition(spec: RelationSpec) -> bool:

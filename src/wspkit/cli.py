@@ -87,17 +87,14 @@ def _spec_from_args(args) -> cls.RelationSpec:
 def cmd_classify(args) -> int:
     spec = _spec_from_args(args)
     print(f"arity: {spec.arity}")
-    reg = cls.is_regular(spec)
-    print(f"regular: {'yes' if reg.regular else 'no'}")
-    if not reg.regular:
-        print("  counterexample partition: "
-              + formats.format_partition(reg.counterexample))
+    counterexample, witness = cls.classify_relation(spec)
+    print(f"regular: {'yes' if counterexample is None else 'no'}")
+    if counterexample is not None:
+        print("  counterexample partition: " + formats.format_partition(counterexample))
     else:
-        closed = cls.is_intersection_closed(spec)
-        print(f"intersection-closed: {'yes' if closed.intersection_closed else 'no'}")
-        if not closed.intersection_closed:
-            a, b = closed.witness
-            print(f"  witness: {sorted(a)} and {sorted(b)}")
+        print(f"intersection-closed: {'yes' if witness is None else 'no'}")
+        if witness is not None:
+            print(f"  witness: {sorted(witness[0])} and {sorted(witness[1])}")
     if spec.arity == 3:
         ok = cls.matches_ternary_condition(spec)
         print(f"ternary-gadget condition: {'yes' if ok else 'no'}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from wspkit.constraints import classification, ineligible_singletons, required_additions
-# Not called here: bench/tracing.py and tests rebind kernel.eligible_set.
+# Not called here: bench/tracing.py rebinds kernel.eligible_set.
 from wspkit.constraints import eligible_set  # noqa: F401
 from wspkit.core import (
     EQ2,

@@ -12,11 +12,7 @@ from itertools import combinations
 import pytest
 
 from wspkit import formats
-from wspkit.classify import (
-    is_intersection_closed,
-    is_regular,
-    spec_from_constraint,
-)
+from wspkit.classify import classify_relation, spec_from_constraint
 from wspkit.cli import main as cli_main
 from wspkit.constraints import (
     classification,
@@ -253,9 +249,9 @@ def test_criterion_7_classification_table():
     for r in range(3, 7):
         for name, c, want_regular, want_closed in rows(r):
             spec = spec_from_constraint(c)
-            reg = is_regular(spec).regular
-            closed = (is_intersection_closed(spec).intersection_closed
-                      if reg else None)
+            counterexample, witness = classify_relation(spec)
+            reg = counterexample is None
+            closed = witness is None if reg else None
             if (reg, closed) != (want_regular, want_closed):
                 mismatches.append((name, reg, closed))
     elapsed = time.monotonic() - start

@@ -6,12 +6,13 @@ from itertools import permutations
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wspkit.classify import (
     RelationSpec,
+    classify_relation,
     eligible_sets,
-    is_intersection_closed,
-    is_regular,
     matches_ternary_condition,
     spec_from_constraint,
 )
@@ -23,8 +24,8 @@ from wspkit.core import (
     per_user,
     separation,
 )
-from wspkit.errors import ClassificationError, DomainError
-from wspkit.partitions import growth_string, growth_strings
+from wspkit.errors import DomainError
+from wspkit.partitions import blocks, growth_string, growth_strings
 
 NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -137,40 +138,68 @@ class TestRegularity:
     @pytest.mark.parametrize("arity", [3, 4, 5, 6])
     def test_peruser_always_regular(self, t_low, t_high, arity):
         spec = spec_from_constraint(per_user(t_low, t_high, NAMES[:arity]))
-        assert is_regular(spec).regular
+        assert classify_relation(spec)[0] is None
 
     def test_two_sided_binding_not_regular(self):
         spec = spec_from_constraint(binding(("a", "b"), ("c", "d")))
-        result = is_regular(spec)
-        assert not result.regular
-        assert result.counterexample == (0, 1, 2, 3)
+        assert classify_relation(spec)[0] == (0, 1, 2, 3)
 
     def test_atleast_three_of_four_not_regular(self):
         spec = spec_from_constraint(at_least(3, NAMES[:4]))
-        assert not is_regular(spec).regular
+        assert classify_relation(spec)[0] is not None
 
 
 class TestIntersectionClosure:
     def test_disequality_closed(self):
         spec = spec_from_constraint(disequality("a", "b"))
-        assert is_intersection_closed(spec).intersection_closed
+        assert classify_relation(spec) == (None, None)
 
     def test_binding_singleton_side_not_closed(self):
         spec = spec_from_constraint(binding(("a",), ("b", "c")))
-        result = is_intersection_closed(spec)
-        assert not result.intersection_closed
-        assert result.witness == (frozenset({1, 2}), frozenset({1, 3}))
+        assert classify_relation(spec) == (
+            None, (frozenset({1, 2}), frozenset({1, 3})))
 
     def test_peruser_lower_bound_split(self):
         closed = spec_from_constraint(per_user(1, 2, NAMES[:4]))
-        assert is_intersection_closed(closed).intersection_closed
+        assert classify_relation(closed) == (None, None)
         open_ = spec_from_constraint(per_user(2, 2, NAMES[:4]))
-        assert not is_intersection_closed(open_).intersection_closed
+        assert classify_relation(open_)[1] is not None
 
-    def test_requires_regularity(self):
+    def test_not_regular_has_no_witness(self):
+        # intersection-closure is defined for regular relations only
         spec = spec_from_constraint(binding(("a", "b"), ("c", "d")))
-        with pytest.raises(ClassificationError):
-            is_intersection_closed(spec)
+        assert classify_relation(spec)[1] is None
+
+
+specs = st.integers(1, 5).flatmap(
+    lambda r: st.sets(st.sampled_from(list(growth_strings(r))), min_size=1).map(
+        lambda codes: RelationSpec(r, frozenset(codes))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs)
+def test_classify_relation_answers_are_least(spec):
+    # Each answer against the definition: the counterexample is the failing
+    # growth string with the least blocks, and on a regular relation the
+    # witness is the failing pair with the least sorted sets.
+    family = eligible_sets(spec)
+    counterexample, witness = classify_relation(spec)
+    failing = [code for code in growth_strings(spec.arity)
+               if code not in spec.eligible_partitions
+               and all(frozenset(i + 1 for i in b) in family for b in blocks(code))]
+    if failing:
+        assert counterexample in failing and witness is None
+        assert all(blocks(counterexample) <= blocks(code) for code in failing)
+        return
+    assert counterexample is None
+    pairs = [(a, b) for a in family for b in family
+             if sorted(a) <= sorted(b) and (a & b) not in family]
+    if not pairs:
+        assert witness is None
+    else:
+        assert witness in pairs
+        assert all([sorted(s) for s in witness] <= [sorted(s) for s in pair]
+                   for pair in pairs)
 
 
 class TestTernaryCondition:

@@ -275,6 +275,18 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "regular: yes" in out and "intersection-closed: yes" in out
 
+    @pytest.mark.parametrize("line, out", [
+        ("bind {1,2} {3,4}",
+         "arity: 4\nregular: no\n  counterexample partition: {1}|{2}|{3}|{4}\n"),
+        ("atmost 2 {1,2,3}",
+         "arity: 3\nregular: no\n  counterexample partition: {1}|{2}|{3}\n"
+         "ternary-gadget condition: yes\n"),
+        ("neq 1 2", "arity: 2\nregular: yes\nintersection-closed: yes\n"),
+    ], ids=["not-regular", "not-regular-ternary", "closed"])
+    def test_exact_output(self, capsys, line, out):
+        assert main(["classify", "--constraint", line]) == 0
+        assert capsys.readouterr() == (out, "")
+
     @pytest.mark.parametrize("line", [
         "peruser 2 3 {1,1,2,3}", "bind {1} {1,2}", "sep {1,2} {2,3}", "bind {a,b} {c,d}",
     ])

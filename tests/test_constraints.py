@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wspkit import constraints, kernel
+from wspkit import constraints
 from wspkit.constraints import (
     classification,
     eligible_partition,
@@ -352,9 +352,8 @@ class TestRequiredAdditions:
 
         monkeypatch.setattr(constraints, "_groupable",
                             counted("groupable", constraints._groupable))
-        counted_set = counted("eligible_set", eligible_set)
-        monkeypatch.setattr(constraints, "eligible_set", counted_set)
-        monkeypatch.setattr(kernel, "eligible_set", counted_set)
+        monkeypatch.setattr(constraints, "eligible_set",
+                            counted("eligible_set", eligible_set))
         closed = classification(c) == (True, True)
         assert closed == (t_low == 21)
         assert calls["groupable"] <= len(c.scope) ** 2
