@@ -18,7 +18,8 @@ class ResourceLimitError(WspError):
 
 
 class DeadEndError(WspError):
-    """An ineligible task set has no eligible superset; the caller must reject."""
+    """An ineligible task set has no eligible superset; the caller must reject.
+    ``kernel.eliminate_equalities`` raises it for a trivially unsatisfiable instance."""
 
 
 class ParseError(WspError):

@@ -7,10 +7,8 @@ matching covers: the Hall violators of the hard tasks and a distinct
 representative of every other task. Kernelization then drops the unmarked
 users and duplicate constraints, so the result has at most as many tasks
 and constraints as the input and at most as many users as tasks; a
-trivially unsatisfiable instance marks no user and keeps none. Plan
-extension certifies the marking, closing the blocks of a plan on the hard
-tasks by equality elimination; lifting replays the merges to turn a plan
-of the kernel into one of the input.
+trivially unsatisfiable instance marks no user and keeps none. Lifting
+replays the merges to turn a plan of the kernel into one of the input.
 """
 
 from __future__ import annotations
@@ -29,13 +27,18 @@ from wspkit.core import (
     Plan,
     WorkflowSchema,
     describe,
-    equality,
     is_valid_plan,
 )
 from wspkit.errors import ClassificationError, DeadEndError, DomainError
 from wspkit.matching import hall_violator, maximum_matching
 
-# kinds that are regular and intersection-closed whatever their scope
+# kinds that are regular and intersection-closed whatever their scope: the
+# kernel's copy of the first branch of constraints.classification, so that
+# the gate calls classification only for kinds whose answer depends on
+# their bounds or sides. On the benchmark's seed-1 kernel-merge pool (about
+# 260 constraints per instance, mostly eq) the gate takes about 14 us per
+# instance, against 86 us with a classification call per constraint, out
+# of about 1 ms for kernelize (Python 3.11.7, 2-vCPU Xeon).
 _ALWAYS_CLOSED = (EQ2, NEQ2, SEP)
 
 REDUCED = "reduced"
@@ -55,10 +58,16 @@ class KernelResult:
     hard: tuple[str, ...]
     representatives: Mapping[str, str]
     merge_log: tuple[MergeRecord, ...]
-    verdict: str  # REDUCED or TRIVIALLY_UNSAT
     # the input's users in declaration order; the reduced schema keeps
     # only the marked ones, or none for TRIVIALLY_UNSAT
     user_order: tuple[str, ...]
+
+    @property
+    def verdict(self) -> str:
+        """TRIVIALLY_UNSAT iff the kernel has a task and no user: a trivially
+        unsatisfiable instance marks no user, and any other marks a user per
+        matched task, since every merged task then has an authorized user."""
+        return TRIVIALLY_UNSAT if self.schema.tasks and not self.schema.users else REDUCED
 
 
 def _rename(c: ConstraintInstance, root: Callable[[str], str]) -> ConstraintInstance:
@@ -81,14 +90,7 @@ def _check_kinds(schema: WorkflowSchema) -> None:
             )
 
 
-@dataclass(frozen=True)
-class EqualityEliminationResult:
-    schema: WorkflowSchema
-    merges: tuple[MergeRecord, ...]
-    unsatisfiable: bool = False
-
-
-def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
+def eliminate_equalities(schema: WorkflowSchema) -> tuple[WorkflowSchema, tuple[MergeRecord, ...]]:
     """Merge tasks until every singleton is eligible for every constraint.
 
     Every merge is forced, so the groups do not depend on merge order; a
@@ -96,13 +98,14 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     its two tasks, and another constraint with an ineligible singleton
     unites the first such task s with the required additions of {s}. Round
     one reads every constraint as given; each later round reads, renamed to
-    the roots, those naming tasks of two groups united the round before. A
-    singleton with no eligible superset makes the instance trivially
-    unsatisfiable and returns it unmerged. Otherwise each constraint is
-    renamed once and every ``eq`` over two tasks dropped. The merge log
-    lists each root's absorbed tasks in task order, each record with the
-    root's authorization intersected with those of the group so far.
-    Raises ClassificationError if some kind does not qualify, before any merge.
+    the roots, those naming tasks of two groups united the round before.
+    Then each constraint is renamed once and every ``eq`` over two tasks
+    dropped. Returns the merged schema, the input itself if nothing merges,
+    and the merge log: each root's absorbed tasks in task order, each
+    record with the root's authorization intersected with those of the
+    group so far. Raises DeadEndError if a singleton has no eligible
+    superset, which makes the instance trivially unsatisfiable, and
+    ClassificationError if some kind does not qualify, before any merge.
     """
     _check_kinds(schema)
     tasks = schema.tasks
@@ -159,17 +162,14 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
             for t in required_additions(c, {tasks[s]}):
                 unite(s, index[t])
 
-    try:
-        for c in schema.constraints:
-            read(c)
-        while united:
-            todo, united = united, set()
-            for i in todo:
-                read(_rename(schema.constraints[i], root_of))
-    except DeadEndError:
-        return EqualityEliminationResult(schema, (), unsatisfiable=True)
+    for c in schema.constraints:
+        read(c)
+    while united:
+        todo, united = united, set()
+        for i in todo:
+            read(_rename(schema.constraints[i], root_of))
     if not merged:
-        return EqualityEliminationResult(schema, ())
+        return schema, ()
     # every task's root, and the groups in task order
     rename = {t: root_of(t) for t in tasks}
     groups: dict[str, list[str]] = {}
@@ -186,8 +186,7 @@ def eliminate_equalities(schema: WorkflowSchema) -> EqualityEliminationResult:
     constraints = tuple(
         c if all(rename[t] == t for t in c.scope_set) else _rename(c, rename.__getitem__)
         for c in schema.constraints if c.kind != EQ2 or c.scope[0] == c.scope[1])
-    reduced = WorkflowSchema(tuple(groups), schema.users, auth, constraints)
-    return EqualityEliminationResult(reduced, tuple(merges))
+    return WorkflowSchema(tuple(groups), schema.users, auth, constraints), tuple(merges)
 
 
 @dataclass(frozen=True)
@@ -241,14 +240,18 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
 
     The reduced schema has k' <= k tasks, n' <= k' users, and m' <= m
     constraints, and is satisfiable iff the input is. A trivially
-    unsatisfiable instance (elimination dead-ended, or a merged task has no
-    authorized user) marks no user, so its kernel keeps the tasks and
-    constraints and has no users. Raises ClassificationError if some
-    constraint kind does not qualify.
+    unsatisfiable instance (``eliminate_equalities`` raises DeadEndError,
+    or a merged task has no authorized user) marks no user, so its kernel
+    keeps the tasks and constraints and has no users, which is what its
+    verdict reads. Raises ClassificationError if some constraint kind does
+    not qualify.
     """
-    elim = eliminate_equalities(schema)
-    merged = elim.schema
-    trivial = elim.unsatisfiable or any(not merged.auth[t] for t in merged.tasks)
+    try:
+        merged, merges = eliminate_equalities(schema)
+    except DeadEndError:
+        merged, merges, trivial = schema, (), True
+    else:
+        trivial = any(not merged.auth[t] for t in merged.tasks)
     marking = MarkingResult((), (), {}) if trivial else mark_users(merged)
     marked = set(marking.marked)
     reduced = WorkflowSchema(
@@ -262,62 +265,15 @@ def kernelize(schema: WorkflowSchema) -> KernelResult:
         marked=marking.marked,
         hard=marking.hard,
         representatives=dict(marking.representatives),
-        merge_log=elim.merges,
-        verdict=TRIVIALLY_UNSAT if trivial else REDUCED,
+        merge_log=merges,
         user_order=schema.users,
     )
 
 
-def extend_partial_plan(
-    schema: WorkflowSchema,
-    partial: Plan,
-    representatives: Mapping[str, str],
-) -> Optional[dict[str, str]]:
-    """Extend an authorized partial plan on the hard tasks to a valid plan.
-
-    Ties each block's later tasks to its first with ``eq`` constraints and
-    lets ``eliminate_equalities`` close the blocks: for intersection-closed
-    constraints a block's closure under the required additions of the
-    constraints it meets ineligibly is unique. There is no extension if
-    elimination dead-ends, or a group holds two blocks or a task its block's
-    user is not authorized for; every other task gets its representative.
-    Returns the complete plan or None. Raises DomainError if the partial
-    plan names a task outside the schema, and ClassificationError if some
-    kind does not qualify.
-    """
-    unknown = set(partial) - set(schema.tasks)
-    if unknown:
-        raise DomainError(f"partial plan names unknown tasks: {sorted(unknown)}")
-    assignment = dict(partial)
-    # each block's first task, keyed by user
-    first: dict[str, str] = {}
-    ties = []
-    for t, u in assignment.items():
-        if u not in schema.auth[t]:
-            return None
-        if first.setdefault(u, t) != t:
-            ties.append(equality(first[u], t))
-    elim = eliminate_equalities(WorkflowSchema(
-        schema.tasks, schema.users, schema.auth, schema.constraints + tuple(ties)))
-    if elim.unsatisfiable:
-        return None
-    root = {m.absorbed: m.surviving for m in elim.merges}
-    # each group's user; a root's authorization is its group's common users
-    owner: dict[str, str] = {}
-    for t, u in assignment.items():
-        group = root.get(t, t)
-        if owner.setdefault(group, u) != u or u not in elim.schema.auth[group]:
-            return None
-    for t in schema.tasks:
-        group = root.get(t, t)
-        if group not in owner and t not in representatives:
-            raise DomainError(f"no representative for unassigned task {t}")
-        assignment[t] = owner[group] if group in owner else representatives[t]
-    return assignment if is_valid_plan(schema, assignment) else None
-
-
 def lift_plan(result: KernelResult, plan: Plan) -> dict[str, str]:
-    """Replay the merge log backwards to recover a plan for the original schema."""
+    """Recover a plan for the original schema: each absorbed task gets its
+    survivor's user. Every survivor is its group's root, which no record
+    absorbs, so the order of the log does not matter."""
     verdict = is_valid_plan(result.schema, plan)
     if not verdict:
         raise DomainError(
@@ -325,6 +281,6 @@ def lift_plan(result: KernelResult, plan: Plan) -> dict[str, str]:
             + "; ".join(v.detail for v in verdict.violations)
         )
     assignment = dict(plan)
-    for record in reversed(result.merge_log):
+    for record in result.merge_log:
         assignment[record.absorbed] = assignment[record.surviving]
     return assignment

@@ -32,7 +32,7 @@ from wspkit.core import (
     validate_schema,
 )
 from wspkit.errors import DomainError
-from wspkit.kernel import extend_partial_plan, kernelize, lift_plan
+from wspkit.kernel import kernelize, lift_plan
 from wspkit.reductions import gen_random_instance
 from wspkit.solver import SolveOutcome, assign_blocks, solve_bruteforce, solve_fpt
 
@@ -255,7 +255,6 @@ class TestPlanIsAMapping:
             solve_fpt(wstar).plan, solve_bruteforce(wstar).plan,
             lift_plan(result, solve_fpt(result.schema).plan),
             formats.parse_plan("s1 u1\n"), assign_blocks(wstar, {"s1": 0, "s2": 0, "s3": 1}),
-            extend_partial_plan(result.schema, {}, result.representatives),
         ]
         assert [type(p) for p in plans] == [dict] * len(plans)
 
